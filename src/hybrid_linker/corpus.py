@@ -183,21 +183,42 @@ def _commit_from_record(record: dict, where: str) -> Commit:
     )
 
 
+def _locate_decode_error(path: Path) -> str:
+    """Name the line and byte offset of the first invalid UTF-8 byte in path.
+
+    Only called once text-mode reading has failed, so the normal read pays
+    nothing for it.
+    """
+    offset = 0
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = offset + exc.start
+                return f"{path}:{lineno}: invalid UTF-8 at byte offset {byte}"
+            offset += len(raw)
+    return f"{path}: invalid UTF-8"
+
+
 def _read_jsonl(path: Path, builder) -> list:
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from None
-            if not isinstance(raw, dict):
-                raise CorpusFormatError(f"{where}: record must be a JSON object")
-            records.append(builder(raw, where))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from None
+                if not isinstance(raw, dict):
+                    raise CorpusFormatError(f"{where}: record must be a JSON object")
+                records.append(builder(raw, where))
+    except UnicodeDecodeError:
+        raise CorpusFormatError(_locate_decode_error(path)) from None
     return records
 
 
@@ -237,11 +258,18 @@ def validate_corpus(corpus: Corpus) -> None:
                 f"commit {commit.commit_hash!r} belongs to project "
                 f"{commit.project!r}, expected {corpus.project!r}"
             )
+        seen_links: set[str] = set()
         for issue_id in commit.linked_issue_ids:
             if issue_id not in seen_issues:
                 raise CorpusValidationError(
                     f"commit {commit.commit_hash!r} links unknown issue {issue_id!r}"
                 )
+            if issue_id in seen_links:
+                raise CorpusValidationError(
+                    f"commit {commit.commit_hash!r} links issue {issue_id!r} "
+                    "more than once"
+                )
+            seen_links.add(issue_id)
 
 
 def load_corpus(issues_path: str | Path, commits_path: str | Path) -> Corpus:

@@ -4,11 +4,21 @@ True candidates are the developer-recorded links. False candidates pair an
 already-linked commit with every other issue whose dates fall within a
 time window of the commit dates; restricting the false side to linked
 commits keeps their date distributions comparable.
+
+The window is answered from a date index built once per call: every issue
+date (created, updated and, when present, resolved) sorted with the issue's
+corpus position. Each commit date bisects the inclusive range
+``[date - window, date + window]`` and the hit positions are emitted in
+ascending order, so the output keeps corpus order. This costs
+O(I log I + C log I + output) for I issues and C linked commits instead of
+testing every commit-issue pair; ``within_window`` stays the reference
+predicate the index must agree with.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +72,15 @@ def generate_candidates(
     For every commit each recorded link becomes a true candidate; for every
     linked commit each other in-window issue becomes a false candidate.
     """
+    if window_days is not None:
+        limit = window_days * SECONDS_PER_DAY
+        index = sorted(
+            (date, position)
+            for position, issue in enumerate(corpus.issues)
+            for date in _issue_dates(issue)
+        )
+        dates = [date for date, _ in index]
+        owners = [position for _, position in index]
     candidates: list[LinkCandidate] = []
     for commit in corpus.commits:
         for issue_id in commit.linked_issue_ids:
@@ -76,14 +95,22 @@ def generate_candidates(
             )
         if not commit.linked_issue_ids:
             continue
+        if window_days is None:
+            positions = range(len(corpus.issues))
+        else:
+            hits: set[int] = set()
+            for commit_date in (commit.author_time_date, commit.commit_time_date):
+                lo = bisect_left(dates, commit_date - limit)
+                hi = bisect_right(dates, commit_date + limit)
+                hits.update(owners[lo:hi])
+            positions = sorted(hits)
         linked = set(commit.linked_issue_ids)
-        for issue in corpus.issues:
-            if issue.issue_id in linked:
-                continue
-            if within_window(commit, issue, window_days):
+        for position in positions:
+            issue_id = corpus.issues[position].issue_id
+            if issue_id not in linked:
                 candidates.append(
                     LinkCandidate(
-                        issue_id=issue.issue_id,
+                        issue_id=issue_id,
                         commit_hash=commit.commit_hash,
                         label=0,
                         provenance="window",
@@ -141,6 +168,7 @@ def write_candidates(path: str | Path, candidates: list[LinkCandidate]) -> None:
 def read_candidates(path: str | Path) -> list[LinkCandidate]:
     path = Path(path)
     candidates: list[LinkCandidate] = []
+    first_seen: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -156,6 +184,13 @@ def read_candidates(path: str | Path) -> list[LinkCandidate]:
                 raise CandidateFileError(
                     f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}"
                 )
+            pair = (issue_id, commit_hash)
+            if pair in first_seen:
+                raise CandidateFileError(
+                    f"{path}:{lineno}: duplicate candidate {issue_id!r} "
+                    f"{commit_hash!r} (first seen on line {first_seen[pair]})"
+                )
+            first_seen[pair] = lineno
             candidates.append(
                 LinkCandidate(
                     issue_id=issue_id,

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import hashlib
 
+from hypothesis import settings
+
 from hybrid_linker.corpus import Commit, Corpus, Issue
+
+# Property tests draw the same examples on every run and never time out, so
+# the suite stays deterministic on slow machines.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 T0 = 1_546_300_800  # 2019-01-01T00:00:00+00:00
 DAY = 86_400

@@ -196,6 +196,21 @@ def test_missing_file_exits_one(workspace, capsys):
     assert "error:" in err
 
 
+def test_bad_utf8_corpus_exits_one_naming_the_file(workspace, capsys):
+    corpus = workspace / "corpus"
+    _run(capsys, "synth", "--seed", 4, "--issues", 20, "--commits", 20,
+         "--out", corpus)
+    issues_path = corpus / "issues.jsonl"
+    with open(issues_path, "ab") as handle:
+        handle.write(b"\xff")
+    code, _, err = _run(
+        capsys, "gen-links", "--corpus", corpus, "--seed", 1,
+        "--out", workspace / "x.tsv",
+    )
+    assert code == 1
+    assert f"{issues_path}:21: invalid UTF-8 at byte offset" in err
+
+
 def test_bad_arguments_exit_two(workspace, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen-links", "--no-such-flag"])

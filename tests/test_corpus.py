@@ -65,6 +65,17 @@ def test_validate_rejects_dangling_link():
         validate_corpus(corpus)
 
 
+def test_validate_rejects_duplicate_links():
+    commit = make_commit(linked=("I-1", "I-2", "I-1"))
+    corpus = make_corpus(
+        [make_issue(issue_id="I-1"), make_issue(issue_id="I-2")], [commit]
+    )
+    with pytest.raises(
+        CorpusValidationError, match=f"{commit.commit_hash}.*'I-1'.*more than once"
+    ):
+        validate_corpus(corpus)
+
+
 def test_validate_rejects_updated_before_created():
     corpus = make_corpus(
         [
@@ -115,6 +126,20 @@ def test_load_reports_file_and_line_for_bad_json(tmp_path):
     lines[1] = "{broken"
     issues_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="issues.jsonl:2"):
+        load_corpus_dir(tmp_path / "corpus")
+
+
+def test_load_reports_file_line_and_offset_for_bad_utf8(tmp_path):
+    corpus = synthesize_corpus(seed=3, n_issues=12, n_commits=10)
+    save_corpus_dir(corpus, tmp_path / "corpus")
+    issues_path = tmp_path / "corpus" / "issues.jsonl"
+    data = issues_path.read_bytes()
+    second_line = data.index(b"\n") + 1
+    bad = data[:second_line] + b'{"summary": "\xff"}\n' + data[second_line:]
+    issues_path.write_bytes(bad)
+    offset = second_line + len(b'{"summary": "')
+    message = f"issues.jsonl:2: invalid UTF-8 at byte offset {offset}$"
+    with pytest.raises(CorpusFormatError, match=message):
         load_corpus_dir(tmp_path / "corpus")
 
 

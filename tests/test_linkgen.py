@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybrid_linker.linkgen import (
     CandidateFileError,
@@ -86,6 +88,74 @@ def test_generated_candidates_match_brute_force():
         want_true, want_false = _brute_force_pairs(corpus, window)
         assert got_true == want_true
         assert got_false == want_false
+
+
+def _reference_candidates(corpus, window_days):
+    """The pair scan the date index replaced: within_window on every issue."""
+    out = []
+    for commit in corpus.commits:
+        for issue_id in commit.linked_issue_ids:
+            out.append(LinkCandidate(issue_id, commit.commit_hash, 1, "linked"))
+        if not commit.linked_issue_ids:
+            continue
+        for issue in corpus.issues:
+            if issue.issue_id in commit.linked_issue_ids:
+                continue
+            if within_window(commit, issue, window_days):
+                out.append(
+                    LinkCandidate(issue.issue_id, commit.commit_hash, 0, "window")
+                )
+    return out
+
+
+# Dates sit on a whole-day grid, nudged by at most one second, so issue
+# dates land exactly on, just inside and just outside a window bound, and
+# issues often share a date.
+_grid_date = st.builds(
+    lambda day, nudge: T0 + day * DAY + nudge,
+    st.integers(0, 12),
+    st.sampled_from([-1, 0, 0, 1]),
+)
+
+
+@st.composite
+def _windowed_corpora(draw):
+    issues = []
+    for i in range(draw(st.integers(1, 8))):
+        created = draw(_grid_date)
+        updated = created + draw(st.integers(0, 3)) * DAY
+        resolved = draw(
+            st.none() | st.integers(0, 3).map(lambda d: updated + d * DAY)
+        )
+        issues.append(
+            make_issue(
+                issue_id=f"I-{i}", created=created, updated=updated, resolved=resolved
+            )
+        )
+    ids = [issue.issue_id for issue in issues]
+    commits = []
+    for c in range(draw(st.integers(1, 6))):
+        author_time = draw(_grid_date)
+        commit_time = author_time + draw(st.sampled_from([0, 1, DAY, 2 * DAY]))
+        linked = draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
+        commits.append(
+            make_commit(
+                tag=f"c{c}",
+                author_time=author_time,
+                commit_time=commit_time,
+                linked=tuple(linked),
+            )
+        )
+    window = draw(st.sampled_from([None, 0, 1, 2, 7]))
+    return make_corpus(issues, commits), window
+
+
+@given(_windowed_corpora())
+def test_date_index_matches_within_window_scan(case):
+    corpus, window = case
+    assert generate_candidates(corpus, window_days=window) == _reference_candidates(
+        corpus, window
+    )
 
 
 def test_window_boundary_is_inclusive():
@@ -206,4 +276,20 @@ def test_candidate_file_errors_name_line(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(CandidateFileError, match="cands.tsv:2"):
+        read_candidates(path)
+
+
+def test_candidate_file_rejects_duplicate_rows(tmp_path):
+    path = tmp_path / "cands.tsv"
+    path.write_text(
+        "issue_id\tcommit_hash\tlabel\tprovenance\n"
+        "I-1\tabc\t1\tlinked\n"
+        "I-2\tabc\t0\twindow\n"
+        "I-1\tabc\t0\twindow\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(
+        CandidateFileError,
+        match=r"cands.tsv:4: duplicate candidate .*\(first seen on line 2\)",
+    ):
         read_candidates(path)
