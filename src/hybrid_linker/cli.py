@@ -18,6 +18,7 @@ from . import HybridLinkerError, __version__
 from .config import Config, apply_overrides, load_config
 from .corpus import (
     SignalParams,
+    _locate_decode_error,
     load_corpus,
     load_corpus_dir,
     save_corpus_dir,
@@ -229,30 +230,7 @@ def cmd_gen_links(args, config: Config) -> int:
 def cmd_train(args, config: Config) -> int:
     corpus = load_corpus_dir(args.corpus)
     candidates = read_candidates(args.candidates)
-    textual = replace(config.textual, seed=config.seed)
-    nontextual = {
-        variant: replace(params, seed=config.seed)
-        for variant, params in config.nontextual.items()
-    }
-    from .textprep import load_stopwords
-
-    model = train_hybrid(
-        candidates,
-        corpus,
-        textual_params=textual,
-        nontextual_kind=config.nontextual_kind,
-        nontextual_params=nontextual,
-        split_seed=config.resolved_split_seed(),
-        alpha_step=config.alpha_step,
-        threshold=config.threshold,
-        stopwords=load_stopwords(config.stopwords_path),
-        category_map_path=config.category_map_path,
-        identity_top_k=config.identity_top_k,
-        gap_features=config.gap_features,
-        missing_threshold=config.missing_threshold,
-        max_features=config.max_features,
-        config_echo=config.to_dict(),
-    )
+    model = train_hybrid(candidates, corpus, config)
     save_model(model, args.out)
     print(
         f"trained on {model.n_fit}+{model.n_validation} candidates; "
@@ -293,17 +271,20 @@ def cmd_predict(args, config: Config) -> int:
 
 def _read_pairs(path: str) -> list[tuple[str, str]]:
     pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or (lineno == 1 and line == "issue_id\tcommit_hash"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise HybridLinkerError(
-                    f"{path}:{lineno}: expected issue_id<TAB>commit_hash"
-                )
-            pairs.append((fields[0], fields[1]))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line or (lineno == 1 and line == "issue_id\tcommit_hash"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    raise HybridLinkerError(
+                        f"{path}:{lineno}: expected issue_id<TAB>commit_hash"
+                    )
+                pairs.append((fields[0], fields[1]))
+    except UnicodeDecodeError:
+        raise HybridLinkerError(_locate_decode_error(path)) from None
     return pairs
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import HybridLinkerError
-from .learn import DEFAULT_ENSEMBLE_KIND, ENSEMBLE_KINDS, LearnerParams
+from .learn import DEFAULT_ENSEMBLE_KIND, ENSEMBLE_KINDS, LearnerError, LearnerParams
 
 
 class ConfigError(HybridLinkerError):
@@ -113,49 +113,23 @@ class Config:
 
     def to_dict(self) -> dict:
         """Full effective config, resolved seeds included."""
-        out = {}
-        for item in fields(self):
-            value = getattr(self, item.name)
-            if isinstance(value, LearnerParams):
-                value = _params_dict(value)
-            elif isinstance(value, dict):
-                value = {
-                    key: _params_dict(val) if isinstance(val, LearnerParams) else val
-                    for key, val in sorted(value.items())
-                }
-            out[item.name] = value
+        out = {item.name: getattr(self, item.name) for item in fields(self)}
+        out["textual"] = self.textual.to_dict()
+        out["nontextual"] = {
+            variant: params.to_dict()
+            for variant, params in sorted(self.nontextual.items())
+        }
         out["balance_seed"] = self.resolved_balance_seed()
         out["split_seed"] = self.resolved_split_seed()
         out["fold_seed"] = self.resolved_fold_seed()
         return out
 
 
-def _params_dict(params: LearnerParams) -> dict:
-    return {
-        "variant": params.variant,
-        "n_trees": params.n_trees,
-        "max_depth": params.max_depth,
-        "min_rows": params.min_rows,
-        "learn_rate": params.learn_rate,
-        "learn_rate_annealing": params.learn_rate_annealing,
-        "n_estimators": params.n_estimators,
-        "reg_lambda": params.reg_lambda,
-        "epochs": params.epochs,
-        "seed": params.seed,
-    }
-
-
-_PARAM_FIELDS = {
-    "variant", "n_trees", "max_depth", "min_rows", "learn_rate",
-    "learn_rate_annealing", "n_estimators", "reg_lambda", "epochs", "seed",
-}
-
-
-def _params_from_dict(data: dict, default: LearnerParams) -> LearnerParams:
-    unknown = set(data) - _PARAM_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown learner parameter(s): {sorted(unknown)}")
-    return replace(default, **data)
+def _section_params(section: str, data, base: LearnerParams) -> LearnerParams:
+    try:
+        return LearnerParams.from_dict(data, base)
+    except LearnerError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> Config:
@@ -168,21 +142,25 @@ def config_from_dict(data: dict) -> Config:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     values = dict(data)
     if "textual" in values:
-        values["textual"] = _params_from_dict(
-            values["textual"], default_textual_params()
+        values["textual"] = _section_params(
+            "textual", values["textual"], default_textual_params()
         )
     if "nontextual" in values:
-        defaults = default_nontextual_params()
-        parsed = {}
-        for variant, sub in values["nontextual"].items():
-            if variant not in defaults:
+        section = values["nontextual"]
+        if not isinstance(section, dict):
+            raise ConfigError(
+                f"nontextual: must be an object, got {type(section).__name__}"
+            )
+        merged = default_nontextual_params()
+        for variant, sub in section.items():
+            if variant not in merged:
                 raise ConfigError(
                     f"nontextual params allow only ensemble member variants, "
                     f"got {variant!r}"
                 )
-            parsed[variant] = _params_from_dict(sub, defaults[variant])
-        merged = defaults
-        merged.update(parsed)
+            merged[variant] = _section_params(
+                f"nontextual.{variant}", sub, merged[variant]
+            )
         values["nontextual"] = merged
     try:
         return Config(**values)

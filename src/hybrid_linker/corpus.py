@@ -118,6 +118,12 @@ class Corpus:
     def linked_commits(self) -> tuple[Commit, ...]:
         return tuple(c for c in self.commits if c.linked_issue_ids)
 
+    def pairs(self, candidates) -> list[tuple[Issue, Commit]]:
+        """The (issue, commit) records of each link candidate, in order."""
+        return [
+            (self.issue(c.issue_id), self.commit(c.commit_hash)) for c in candidates
+        ]
+
 
 def _require(record: dict, key: str, where: str):
     if key not in record:

@@ -21,7 +21,6 @@ from .hybrid import (
     tune_alpha,
 )
 from .linkgen import LinkCandidate
-from .textprep import load_stopwords
 
 # Historical averages from the study this pipeline follows, kept as
 # context for report readers. They describe other corpora and are not
@@ -137,17 +136,6 @@ def kfold(
     return folds
 
 
-def _fold_learner_params(config: Config, fold_index: int):
-    """Per-fold copies of learner params, reseeded from the global seed."""
-    seed = config.seed + fold_index
-    textual = replace(config.textual, seed=seed)
-    nontextual = {
-        variant: replace(params, seed=seed)
-        for variant, params in config.nontextual.items()
-    }
-    return textual, nontextual
-
-
 def _run_one_fold(
     fold_index: int,
     train_idx: np.ndarray,
@@ -155,32 +143,17 @@ def _run_one_fold(
     candidates: list[LinkCandidate],
     corpus: Corpus,
     config: Config,
-    stopwords: frozenset[str],
 ) -> dict:
     train_cands = [candidates[i] for i in train_idx]
     test_cands = [candidates[i] for i in test_idx]
-    textual_params, nontextual_params = _fold_learner_params(config, fold_index)
-    model = train_hybrid(
-        train_cands,
-        corpus,
-        textual_params=textual_params,
-        nontextual_kind=config.nontextual_kind,
-        nontextual_params=nontextual_params,
+    # Each fold reseeds its learners and its fit/validation split.
+    fold_config = replace(
+        config,
+        seed=config.seed + fold_index,
         split_seed=config.resolved_split_seed() + fold_index,
-        alpha_step=config.alpha_step,
-        threshold=config.threshold,
-        stopwords=stopwords,
-        category_map_path=config.category_map_path,
-        identity_top_k=config.identity_top_k,
-        gap_features=config.gap_features,
-        missing_threshold=config.missing_threshold,
-        max_features=config.max_features,
     )
-    pairs = [
-        (corpus.issue(c.issue_id), corpus.commit(c.commit_hash))
-        for c in test_cands
-    ]
-    p_nt, p_t = channel_probabilities(model, pairs)
+    model = train_hybrid(train_cands, corpus, fold_config)
+    p_nt, p_t = channel_probabilities(model, corpus.pairs(test_cands))
     actual = np.array([c.label for c in test_cands])
     alpha = model.alpha
     if config.tune_on == "test":
@@ -229,12 +202,11 @@ def _run_folds(
         labels=labels,
         stratified=config.stratified,
     )
-    stopwords = load_stopwords(config.stopwords_path)
 
     def runner(item):
         fold_index, (train_idx, test_idx) = item
         return _run_one_fold(
-            fold_index, train_idx, test_idx, candidates, corpus, config, stopwords
+            fold_index, train_idx, test_idx, candidates, corpus, config
         )
 
     items = list(enumerate(folds))

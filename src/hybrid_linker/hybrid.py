@@ -15,17 +15,18 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import HybridLinkerError
+from .config import Config
 from .corpus import Commit, Corpus, Issue
 from .linkgen import LinkCandidate
 from .learn import (
-    DEFAULT_ENSEMBLE_KIND,
+    LearnerError,
     LearnerParams,
     SoftVoteEnsemble,
     TrainedLearner,
@@ -41,6 +42,7 @@ from .tfidf import (
     featurize_pairs_textual,
     fit_vectorizers,
 )
+from .textprep import load_stopwords
 
 BUNDLE_FORMAT = "hlb1"
 MIN_TRAIN_CANDIDATES = 10
@@ -52,22 +54,10 @@ class HybridError(HybridLinkerError):
     """Invalid fusion input or model bundle."""
 
 
-def combine(p_nontextual: float, p_textual: float, alpha: float) -> float:
-    """Fuse the two channel probabilities linearly."""
-    for name, value in (
-        ("p_nontextual", p_nontextual),
-        ("p_textual", p_textual),
-        ("alpha", alpha),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise HybridError(f"{name} must lie in [0, 1], got {value!r}")
-    return alpha * p_nontextual + (1.0 - alpha) * p_textual
-
-
 def fuse_arrays(
     p_nontextual: np.ndarray, p_textual: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Vector form of combine; same formula applied elementwise."""
+    """Fuse the two channel probabilities linearly, elementwise."""
     if not 0.0 <= alpha <= 1.0:
         raise HybridError(f"alpha must lie in [0, 1], got {alpha!r}")
     p_nontextual = np.asarray(p_nontextual)
@@ -173,44 +163,22 @@ def predict_pairs(
 
 
 def train_hybrid(
-    candidates: list[LinkCandidate],
-    corpus: Corpus,
-    *,
-    textual_params: LearnerParams | None = None,
-    nontextual_kind: str = DEFAULT_ENSEMBLE_KIND,
-    nontextual_params: dict[str, LearnerParams] | None = None,
-    split_seed: int = 0,
-    alpha_step: float = DEFAULT_ALPHA_STEP,
-    threshold: float = DEFAULT_THRESHOLD,
-    stopwords: frozenset[str] | None = None,
-    category_map_path=None,
-    identity_top_k: int = 50,
-    gap_features: bool = True,
-    missing_threshold: float = 0.5,
-    max_features: int = 10000,
-    config_echo: dict | None = None,
+    candidates: list[LinkCandidate], corpus: Corpus, config: Config
 ) -> HybridModel:
     """Fit both channels on 80% of the candidates and tune alpha on the rest.
 
     Channel models are fitted once on the fit slice and kept; nothing is
-    refitted after tuning.
+    refitted after tuning. Every learner is seeded with config.seed.
     """
     if len(candidates) < MIN_TRAIN_CANDIDATES:
         raise HybridError(
             f"need at least {MIN_TRAIN_CANDIDATES} candidates to train, "
             f"got {len(candidates)}"
         )
-    if textual_params is None:
-        textual_params = LearnerParams(
-            variant="gradient_boosting", n_estimators=300, max_depth=50
-        )
-    from .textprep import load_stopwords
-
-    if stopwords is None:
-        stopwords = load_stopwords()
+    stopwords = load_stopwords(config.stopwords_path)
 
     n = len(candidates)
-    rng = np.random.default_rng(split_seed)
+    rng = np.random.default_rng(config.resolved_split_seed())
     order = rng.permutation(n)
     n_fit = min(n - 1, max(1, int(round(0.8 * n))))
     fit_idx = order[:n_fit]
@@ -219,48 +187,54 @@ def train_hybrid(
     val_part = [candidates[i] for i in val_idx]
 
     vectorizers = fit_vectorizers(
-        fit_part, corpus, stopwords, max_features=max_features
+        fit_part, corpus, stopwords, max_features=config.max_features
     )
     encoder = fit_encoder(
         fit_part,
         corpus,
-        category_map_path=category_map_path,
-        identity_top_k=identity_top_k,
-        gap_features=gap_features,
-        missing_threshold=missing_threshold,
+        category_map_path=config.category_map_path,
+        identity_top_k=config.identity_top_k,
+        gap_features=config.gap_features,
+        missing_threshold=config.missing_threshold,
     )
 
-    def pairs_of(part):
-        return [(corpus.issue(c.issue_id), corpus.commit(c.commit_hash)) for c in part]
-
-    fit_pairs = pairs_of(fit_part)
+    fit_pairs = corpus.pairs(fit_part)
     X_t = featurize_pairs_textual(fit_pairs, vectorizers, stopwords)
     X_nt = featurize_pairs_tabular(fit_pairs, encoder)
     y_fit = np.array([c.label for c in fit_part], dtype=np.float64)
 
-    textual_model = train(textual_params, X_t, y_fit)
+    textual_model = train(replace(config.textual, seed=config.seed), X_t, y_fit)
     nontextual_model = train_ensemble(
-        nontextual_kind, X_nt, y_fit, nontextual_params
+        config.nontextual_kind,
+        X_nt,
+        y_fit,
+        {
+            variant: replace(params, seed=config.seed)
+            for variant, params in config.nontextual.items()
+        },
+        seed=config.seed,
     )
 
-    val_pairs = pairs_of(val_part)
+    val_pairs = corpus.pairs(val_part)
     Xv_t = featurize_pairs_textual(val_pairs, vectorizers, stopwords)
     Xv_nt = featurize_pairs_tabular(val_pairs, encoder)
     pv_t = predict_proba(textual_model, Xv_t)
     pv_nt = predict_proba(nontextual_model, Xv_nt)
     y_val = np.array([c.label for c in val_part], dtype=np.float64)
-    alpha, val_f1 = tune_alpha(pv_nt, pv_t, y_val, alpha_step, threshold)
+    alpha, val_f1 = tune_alpha(
+        pv_nt, pv_t, y_val, config.alpha_step, config.threshold
+    )
 
     return HybridModel(
         project=corpus.project,
         alpha=alpha,
-        threshold=threshold,
+        threshold=config.threshold,
         stopwords=stopwords,
         vectorizers=vectorizers,
         encoder=encoder,
         textual=textual_model,
         nontextual=nontextual_model,
-        config=config_echo or {},
+        config=config.to_dict(),
         validation_f1=val_f1,
         n_fit=len(fit_part),
         n_validation=len(val_part),
@@ -276,7 +250,7 @@ def _npy_bytes(array: np.ndarray, dtype: str) -> bytes:
 def _learner_payload(name: str, model: TrainedLearner):
     meta = {
         "variant": model.variant,
-        "params": _params_to_dict(model.params),
+        "params": model.params.to_dict(),
         "width": model.width,
         "base_score": model.base_score,
         "bias": model.bias,
@@ -312,29 +286,17 @@ def _learner_payload(name: str, model: TrainedLearner):
     return meta, arrays
 
 
-def _params_to_dict(params: LearnerParams) -> dict:
-    return {
-        "variant": params.variant,
-        "n_trees": params.n_trees,
-        "max_depth": params.max_depth,
-        "min_rows": params.min_rows,
-        "learn_rate": params.learn_rate,
-        "learn_rate_annealing": params.learn_rate_annealing,
-        "n_estimators": params.n_estimators,
-        "reg_lambda": params.reg_lambda,
-        "epochs": params.epochs,
-        "seed": params.seed,
-    }
-
-
-def _params_from_dict(data: dict) -> LearnerParams:
-    return LearnerParams(**data)
-
-
-def _learner_from_payload(name: str, meta: dict, read_array) -> TrainedLearner:
+def _learner_from_payload(
+    path, name: str, meta: dict, read_array
+) -> TrainedLearner:
+    try:
+        params = LearnerParams.from_dict(meta["params"])
+    except LearnerError as exc:
+        raise HybridError(f"{path}: {name}: {exc}") from None
     model = TrainedLearner(
-        variant=meta["variant"],
-        params=_params_from_dict(meta["params"]),
+        # The params carry the variant with retired names already mapped.
+        variant=params.variant,
+        params=params,
         width=meta["width"],
         base_score=meta["base_score"],
         bias=meta["bias"],
@@ -502,9 +464,11 @@ def load_model(path: str | Path) -> HybridModel:
             ),
             code=_vectorizer_from_payload("vec_code", manifest["vec_code"], read_array),
         )
-        textual = _learner_from_payload("textual", manifest["textual"], read_array)
+        textual = _learner_from_payload(
+            path, "textual", manifest["textual"], read_array
+        )
         members = tuple(
-            _learner_from_payload(f"nontextual_{position}", meta, read_array)
+            _learner_from_payload(path, f"nontextual_{position}", meta, read_array)
             for position, meta in enumerate(manifest["nontextual_members"])
         )
         return HybridModel(

@@ -1,16 +1,17 @@
 """Self-contained binary classifiers and the soft-vote ensemble.
 
-Seven variants share one parameter record and one training entry point:
+Six variants share one parameter record and one training entry point:
 a CART decision tree, a random forest, logistic-loss gradient boosting,
 its lambda-regularized second-order variant, Gaussian naive Bayes, and
-two SGD-trained linear models. All of them consume dense or CSR feature
-matrices and binary 0/1 labels and emit a probability for class 1.
+an SGD-trained logistic regression. All of them consume dense or CSR
+feature matrices and binary 0/1 labels and emit a probability for class 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +26,6 @@ VARIANTS = (
     "regularized_gradient_boosting",
     "naive_bayes",
     "logistic_regression",
-    "sgd_classifier",
 )
 
 TREE_VARIANTS = (
@@ -34,8 +34,6 @@ TREE_VARIANTS = (
     "gradient_boosting",
     "regularized_gradient_boosting",
 )
-
-LINEAR_VARIANTS = ("logistic_regression", "sgd_classifier")
 
 # Boosting stops early once a stage improves training log-loss by less
 # than this.
@@ -85,6 +83,43 @@ class LearnerParams:
     def n_stages(self) -> int:
         """Boosting rounds; n_estimators wins over n_trees when given."""
         return self.n_estimators if self.n_estimators is not None else self.n_trees
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data, base: LearnerParams | None = None) -> LearnerParams:
+        """Inverse of to_dict; keys missing from data keep base's values.
+
+        Unknown keys and wrongly typed values raise LearnerError naming the
+        key. The retired variant name sgd_classifier, which ran the same SGD
+        path, loads as logistic_regression.
+        """
+        if not isinstance(data, dict):
+            raise LearnerError(
+                f"learner parameters must be an object, got {type(data).__name__}"
+            )
+        hints = typing.get_type_hints(cls)
+        declared = {item.name: item.type for item in fields(cls)}
+        for key, value in data.items():
+            if key not in declared:
+                raise LearnerError(f"unknown learner parameter {key!r}")
+            allowed = typing.get_args(hints[key]) or (hints[key],)
+            if float in allowed:
+                allowed += (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise LearnerError(
+                    f"learner parameter {key!r} must be {declared[key]}, "
+                    f"got {value!r}"
+                )
+        values = dict(data)
+        if values.get("variant") == "sgd_classifier":
+            values["variant"] = "logistic_regression"
+        if base is not None:
+            return replace(base, **values)
+        if "variant" not in values:
+            raise LearnerError("missing learner parameter 'variant'")
+        return cls(**values)
 
 
 @dataclass
@@ -226,26 +261,6 @@ def _train_boosting(params: LearnerParams, X, y) -> TrainedLearner:
     )
 
 
-def logistic_loss(weights: np.ndarray, bias: float, X, y: np.ndarray) -> float:
-    """Mean logistic loss of a linear scorer; shared by both SGD variants."""
-    Xc = _as_csr(X)
-    z = Xc @ weights + bias
-    return log_loss(np.asarray(y, dtype=np.float64), sigmoid(z))
-
-
-def logistic_gradient(
-    weights: np.ndarray, bias: float, X, y: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Mean-loss gradient with respect to (weights, bias)."""
-    Xc = _as_csr(X)
-    y = np.asarray(y, dtype=np.float64)
-    p = sigmoid(Xc @ weights + bias)
-    err = p - y
-    grad_w = Xc.T @ err / Xc.shape[0]
-    grad_b = float(np.mean(err))
-    return np.asarray(grad_w).ravel(), grad_b
-
-
 def _train_linear_sgd(params: LearnerParams, X, y) -> TrainedLearner:
     Xc = _as_csr(X)
     n, width = Xc.shape
@@ -305,7 +320,7 @@ def train(params: LearnerParams, X, y) -> TrainedLearner:
         return _train_random_forest(params, X, y)
     if params.variant in ("gradient_boosting", "regularized_gradient_boosting"):
         return _train_boosting(params, X, y)
-    if params.variant in LINEAR_VARIANTS:
+    if params.variant == "logistic_regression":
         return _train_linear_sgd(params, X, y)
     return _train_naive_bayes(params, X, y)
 
@@ -355,7 +370,7 @@ def predict_proba(model, X) -> np.ndarray:
         for tree, scale in zip(model.trees, model.tree_scales):
             scores += scale * tree.predict(X)
         return np.asarray(sigmoid(scores))
-    if model.variant in LINEAR_VARIANTS:
+    if model.variant == "logistic_regression":
         Xc = _as_csr(X)
         return np.asarray(sigmoid(Xc @ model.weights + model.bias))
     return _nb_predict(model, X)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import HybridLinkerError
-from .corpus import SECONDS_PER_DAY, Corpus, Commit, Issue
+from .corpus import SECONDS_PER_DAY, Corpus, Commit, Issue, _locate_decode_error
 
 
 class CandidateFileError(HybridLinkerError):
@@ -169,34 +169,38 @@ def read_candidates(path: str | Path) -> list[LinkCandidate]:
     path = Path(path)
     candidates: list[LinkCandidate] = []
     first_seen: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or (lineno == 1 and line == _HEADER):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise CandidateFileError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line or (lineno == 1 and line == _HEADER):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    raise CandidateFileError(
+                        f"{path}:{lineno}: expected 4 tab-separated fields, "
+                        f"got {len(fields)}"
+                    )
+                issue_id, commit_hash, label_text, provenance = fields
+                if label_text not in ("0", "1"):
+                    raise CandidateFileError(
+                        f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}"
+                    )
+                pair = (issue_id, commit_hash)
+                if pair in first_seen:
+                    raise CandidateFileError(
+                        f"{path}:{lineno}: duplicate candidate {issue_id!r} "
+                        f"{commit_hash!r} (first seen on line {first_seen[pair]})"
+                    )
+                first_seen[pair] = lineno
+                candidates.append(
+                    LinkCandidate(
+                        issue_id=issue_id,
+                        commit_hash=commit_hash,
+                        label=int(label_text),
+                        provenance=provenance,
+                    )
                 )
-            issue_id, commit_hash, label_text, provenance = fields
-            if label_text not in ("0", "1"):
-                raise CandidateFileError(
-                    f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}"
-                )
-            pair = (issue_id, commit_hash)
-            if pair in first_seen:
-                raise CandidateFileError(
-                    f"{path}:{lineno}: duplicate candidate {issue_id!r} "
-                    f"{commit_hash!r} (first seen on line {first_seen[pair]})"
-                )
-            first_seen[pair] = lineno
-            candidates.append(
-                LinkCandidate(
-                    issue_id=issue_id,
-                    commit_hash=commit_hash,
-                    label=int(label_text),
-                    provenance=provenance,
-                )
-            )
+    except UnicodeDecodeError:
+        raise CandidateFileError(_locate_decode_error(path)) from None
     return candidates

@@ -289,21 +289,3 @@ def featurize_pairs_tabular(pairs, encoder: TabularEncoder) -> np.ndarray:
             out[row, identity_at[column] + index] = 1.0
     return out
 
-
-def featurize_tabular_many(
-    candidates: list[LinkCandidate],
-    corpus: Corpus,
-    encoder: TabularEncoder,
-) -> np.ndarray:
-    """Encode candidates as a dense (n, width) float matrix."""
-    pairs = [
-        (corpus.issue(c.issue_id), corpus.commit(c.commit_hash)) for c in candidates
-    ]
-    return featurize_pairs_tabular(pairs, encoder)
-
-
-def featurize_tabular(
-    candidate: LinkCandidate, corpus: Corpus, encoder: TabularEncoder
-) -> np.ndarray:
-    """Encode a single candidate as a width-long vector."""
-    return featurize_tabular_many([candidate], corpus, encoder)[0]

@@ -219,24 +219,3 @@ def featurize_pairs_textual(
         shape=(count, vectorizers.width),
     )
 
-
-def featurize_textual_many(
-    candidates: list[LinkCandidate],
-    corpus: Corpus,
-    vectorizers: TextualVectorizers,
-    stopwords: frozenset[str] | None = None,
-) -> sp.csr_matrix:
-    pairs = [
-        (corpus.issue(c.issue_id), corpus.commit(c.commit_hash)) for c in candidates
-    ]
-    return featurize_pairs_textual(pairs, vectorizers, stopwords)
-
-
-def featurize_textual(
-    candidate: LinkCandidate,
-    corpus: Corpus,
-    vectorizers: TextualVectorizers,
-    stopwords: frozenset[str] | None = None,
-) -> sp.csr_matrix:
-    """Vectorize a single candidate; same layout as the batch form."""
-    return featurize_textual_many([candidate], corpus, vectorizers, stopwords)

@@ -26,7 +26,6 @@ from hybrid_linker.evaluation import (
     render_report,
 )
 from hybrid_linker.hybrid import (
-    combine,
     f1_at_threshold,
     fuse_arrays,
     load_model,
@@ -37,8 +36,6 @@ from hybrid_linker.hybrid import (
 )
 from hybrid_linker.learn import (
     LearnerParams,
-    logistic_gradient,
-    logistic_loss,
     predict_proba,
     train,
     train_ensemble,
@@ -102,13 +99,10 @@ def small_setup():
 
 
 def _train_small(candidates, corpus, split_seed=5):
-    return train_hybrid(
-        candidates,
-        corpus,
-        textual_params=FAST_TEXTUAL,
-        nontextual_params=dict(FAST_NONTEXTUAL),
-        split_seed=split_seed,
+    config = Config(
+        textual=FAST_TEXTUAL, nontextual=dict(FAST_NONTEXTUAL), split_seed=split_seed
     )
+    return train_hybrid(candidates, corpus, config)
 
 
 def test_reference_numbers_are_metadata_only(small_setup, capsys):
@@ -268,28 +262,6 @@ def test_learner_oracles(capsys):
         assert losses.size >= 60
         assert np.all(np.diff(losses) <= 1e-12)
 
-        # Analytic logistic gradient against central differences.
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(40, 5))
-        y = (rng.random(40) < 0.5).astype(float)
-        weights = rng.normal(scale=0.5, size=5)
-        bias = 0.3
-        grad_w, grad_b = logistic_gradient(weights, bias, X, y)
-        eps = 1e-6
-        for i in range(5):
-            bumped = weights.copy()
-            bumped[i] += eps
-            high = logistic_loss(bumped, bias, X, y)
-            bumped[i] -= 2 * eps
-            low = logistic_loss(bumped, bias, X, y)
-            numeric = (high - low) / (2 * eps)
-            assert abs(grad_w[i] - numeric) <= 1e-4 * max(1.0, abs(numeric))
-        numeric_b = (
-            logistic_loss(weights, bias + eps, X, y)
-            - logistic_loss(weights, bias - eps, X, y)
-        ) / (2 * eps)
-        assert abs(grad_b - numeric_b) <= 1e-4 * max(1.0, abs(numeric_b))
-
         # Soft vote is exactly the mean of the member probabilities.
         rng = np.random.default_rng(11)
         X = rng.random((60, 4))
@@ -394,7 +366,8 @@ def test_fusion_and_alpha_tuning(capsys):
             (0.123456789, 0.987654321, 0.35),
         ]
         for p_nt, p_t, alpha in cases:
-            assert abs(combine(p_nt, p_t, alpha) - (alpha * p_nt + (1 - alpha) * p_t)) <= 1e-15
+            fused = fuse_arrays(p_nt, p_t, alpha)
+            assert abs(fused - (alpha * p_nt + (1 - alpha) * p_t)) <= 1e-15
 
         rng = np.random.default_rng(99)
         for _ in range(10):
@@ -470,10 +443,7 @@ def test_end_to_end_synthetic_claims(capsys):
         assert gap <= 0.03
 
         model = train_hybrid(
-            blind_cands,
-            blind,
-            textual_params=ACCEPTANCE_TEXTUAL,
-            split_seed=7,
+            blind_cands, blind, Config(textual=ACCEPTANCE_TEXTUAL, split_seed=7)
         )
         assert model.alpha >= 0.60
 

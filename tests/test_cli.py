@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 
 import pytest
 
@@ -209,6 +210,79 @@ def test_bad_utf8_corpus_exits_one_naming_the_file(workspace, capsys):
     )
     assert code == 1
     assert f"{issues_path}:21: invalid UTF-8 at byte offset" in err
+
+
+def test_bad_utf8_candidates_exit_one_naming_the_line(workspace, capsys):
+    corpus = workspace / "corpus"
+    _run(capsys, "synth", "--seed", 4, "--issues", 20, "--commits", 20,
+         "--out", corpus)
+    cands = workspace / "cands.tsv"
+    _run(capsys, "gen-links", "--corpus", corpus, "--seed", 4, "--out", cands)
+    with open(cands, "ab") as handle:
+        handle.write(b"I-1\tabc\t0\twindow\xff\n")
+    n_lines = len(cands.read_bytes().splitlines())
+    code, _, err = _run(
+        capsys, "train", "--corpus", corpus, "--candidates", cands,
+        "--out", workspace / "m.hlb",
+    )
+    assert code == 1
+    assert f"{cands}:{n_lines}: invalid UTF-8 at byte offset" in err
+
+
+def test_bad_utf8_pairs_exit_one_naming_the_line(workspace, capsys):
+    corpus, _, model = _pipeline(workspace, capsys)
+    pairs_path = workspace / "pairs.tsv"
+    pairs_path.write_bytes(b"issue_id\tcommit_hash\nI-1\tab\xffc\n")
+    code, _, err = _run(
+        capsys, "predict-batch", "--model", model, "--corpus", corpus,
+        "--pairs", pairs_path,
+    )
+    assert code == 1
+    assert f"{pairs_path}:2: invalid UTF-8 at byte offset 27" in err
+
+
+def test_unknown_bundle_param_exits_one_naming_member_and_key(workspace, capsys):
+    corpus, cands, model = _pipeline(workspace, capsys)
+    with zipfile.ZipFile(model) as bundle:
+        files = {name: bundle.read(name) for name in bundle.namelist()}
+    manifest = json.loads(files["manifest.json"])
+    manifest["nontextual_members"][0]["params"]["bogus"] = 1
+    files["manifest.json"] = json.dumps(manifest).encode("utf-8")
+    with zipfile.ZipFile(model, "w") as bundle:
+        for name, data in files.items():
+            bundle.writestr(name, data)
+    issue_id, commit_hash = cands.read_text(encoding="utf-8").splitlines()[1].split(
+        "\t"
+    )[:2]
+    code, _, err = _run(
+        capsys, "predict", "--model", model, "--corpus", corpus,
+        "--issue", issue_id, "--commit", commit_hash,
+    )
+    assert code == 1
+    assert f"error: {model}: nontextual_0: unknown learner parameter 'bogus'" in err
+
+
+@pytest.mark.parametrize(
+    "config, section",
+    [
+        ({"nontextual": []}, "nontextual"),
+        ({"textual": 5}, "textual"),
+        ({"textual": {"n_trees": "x"}}, "textual"),
+        ({"textual": {"bogus": 1}}, "textual"),
+        ({"textual": {"learn_rate": True}}, "textual"),
+        ({"textual": {"n_trees": 0}}, "textual"),
+        ({"nontextual": {"random_forest": []}}, "nontextual.random_forest"),
+    ],
+)
+def test_malformed_learner_section_exits_one(workspace, capsys, config, section):
+    config_path = workspace / "bad.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = _run(
+        capsys, "gen-links", "--config", config_path,
+        "--corpus", workspace / "nowhere", "--out", workspace / "x.tsv",
+    )
+    assert code == 1
+    assert f"error: {section}:" in err
 
 
 def test_bad_arguments_exit_two(workspace, capsys):

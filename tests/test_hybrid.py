@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hybrid_linker.config import Config
 from hybrid_linker.corpus import SignalParams, synthesize_corpus
 from hybrid_linker.hybrid import (
     HybridError,
     alpha_grid,
-    combine,
     f1_at_threshold,
     fuse_arrays,
     load_model,
@@ -36,6 +36,11 @@ SMALL_NONTEXTUAL = {
 }
 
 
+def _small_config(seed):
+    return Config(textual=SMALL_TEXTUAL, nontextual=dict(SMALL_NONTEXTUAL),
+                  split_seed=seed)
+
+
 def _small_model(seed=5):
     corpus = synthesize_corpus(
         seed=seed, n_issues=40, n_commits=40, signal=SignalParams(0.9, 0.9, 1.0)
@@ -43,30 +48,24 @@ def _small_model(seed=5):
     balanced = balance_candidates(
         generate_candidates(corpus, window_days=7), seed=seed
     )
-    model = train_hybrid(
-        list(balanced.candidates),
-        corpus,
-        textual_params=SMALL_TEXTUAL,
-        nontextual_params=SMALL_NONTEXTUAL,
-        split_seed=seed,
-    )
+    model = train_hybrid(list(balanced.candidates), corpus, _small_config(seed))
     return corpus, model
 
 
 def test_combine_hand_arithmetic():
-    assert combine(0.9, 0.4, 0.6) == pytest.approx(0.70, abs=1e-15)
-    assert combine(0.3, 0.8, 0.0) == 0.8
-    assert combine(0.3, 0.8, 1.0) == 0.3
-    assert combine(0.5, 0.5, 0.25) == pytest.approx(0.5, abs=1e-15)
+    assert fuse_arrays(0.9, 0.4, 0.6) == pytest.approx(0.70, abs=1e-15)
+    assert fuse_arrays(0.3, 0.8, 0.0) == 0.8
+    assert fuse_arrays(0.3, 0.8, 1.0) == 0.3
+    assert fuse_arrays(0.5, 0.5, 0.25) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_combine_rejects_out_of_range():
     with pytest.raises(HybridError):
-        combine(1.2, 0.5, 0.5)
+        fuse_arrays(1.2, 0.5, 0.5)
     with pytest.raises(HybridError):
-        combine(0.5, -0.1, 0.5)
+        fuse_arrays(0.5, -0.1, 0.5)
     with pytest.raises(HybridError):
-        combine(0.5, 0.5, 1.0001)
+        fuse_arrays(0.5, 0.5, 1.0001)
 
 
 def test_fuse_arrays_matches_scalar_combine():
@@ -74,7 +73,7 @@ def test_fuse_arrays_matches_scalar_combine():
     p_t = np.array([1.0, 0.5, 0.1, 0.0])
     fused = fuse_arrays(p_nt, p_t, 0.3)
     for k in range(len(p_nt)):
-        assert fused[k] == pytest.approx(combine(p_nt[k], p_t[k], 0.3), abs=1e-15)
+        assert fused[k] == pytest.approx(fuse_arrays(p_nt[k], p_t[k], 0.3), abs=1e-15)
     with pytest.raises(HybridError):
         fuse_arrays(np.array([1.5]), np.array([0.5]), 0.5)
 
@@ -148,8 +147,7 @@ def test_train_hybrid_needs_ten_candidates():
     corpus = synthesize_corpus(seed=2, n_issues=12, n_commits=12)
     cands = generate_candidates(corpus, window_days=7)[:6]
     with pytest.raises(HybridError):
-        train_hybrid(cands, corpus, textual_params=SMALL_TEXTUAL,
-                     nontextual_params=SMALL_NONTEXTUAL)
+        train_hybrid(cands, corpus, _small_config(0))
 
 
 def test_train_hybrid_splits_and_tunes():

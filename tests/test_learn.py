@@ -9,8 +9,6 @@ from hybrid_linker.learn import (
     LearnerError,
     LearnerParams,
     log_loss,
-    logistic_gradient,
-    logistic_loss,
     predict_proba,
     train,
     train_ensemble,
@@ -80,28 +78,6 @@ def test_gb_training_loss_non_increasing():
     assert len(losses) >= 2
     diffs = np.diff(np.asarray(losses))
     assert np.all(diffs <= 1e-12)
-
-
-def test_logistic_gradient_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(40, 5))
-    y = (rng.random(40) < 0.5).astype(float)
-    weights = rng.normal(scale=0.5, size=5)
-    bias = 0.3
-    grad_w, grad_b = logistic_gradient(weights, bias, X, y)
-    eps = 1e-6
-    for k in range(5):
-        bumped = weights.copy()
-        bumped[k] += eps
-        up = logistic_loss(bumped, bias, X, y)
-        bumped[k] -= 2 * eps
-        down = logistic_loss(bumped, bias, X, y)
-        numeric = (up - down) / (2 * eps)
-        assert abs(grad_w[k] - numeric) <= 1e-4 * max(1.0, abs(numeric))
-    up = logistic_loss(weights, bias + eps, X, y)
-    down = logistic_loss(weights, bias - eps, X, y)
-    numeric = (up - down) / (2 * eps)
-    assert abs(grad_b - numeric) <= 1e-4 * max(1.0, abs(numeric))
 
 
 def test_soft_vote_is_exact_mean():
@@ -188,7 +164,6 @@ def test_probabilities_lie_in_unit_interval():
         "regularized_gradient_boosting",
         "naive_bayes",
         "logistic_regression",
-        "sgd_classifier",
     ):
         params = LearnerParams(variant=variant, n_trees=8, n_estimators=8,
                                max_depth=3, min_rows=2)

@@ -7,7 +7,7 @@ from hybrid_linker.linkgen import LinkCandidate, generate_candidates
 from hybrid_linker.corpus import synthesize_corpus
 from hybrid_linker.tabular import (
     CategoryMapError,
-    featurize_tabular_many,
+    featurize_pairs_tabular,
     fit_encoder,
     load_category_maps,
     reduce_status,
@@ -81,7 +81,7 @@ def test_epoch_day_and_gap_columns():
     cands = _candidates(corpus)
     encoder = fit_encoder(cands, corpus)
     names = list(encoder.feature_names)
-    X = featurize_tabular_many(cands, corpus, encoder)
+    X = featurize_pairs_tabular(corpus.pairs(cands), encoder)
     assert X.shape == (len(cands), encoder.width)
     row = X[0]
     cand = cands[0]
@@ -104,7 +104,7 @@ def test_resolved_dropped_when_mostly_missing():
     assert "resolved_present" not in encoder.feature_names
     assert not any(n.endswith("_resolved") for n in encoder.feature_names)
     # 4 date days + 4 gaps + 3 status + 3 type + identity one-hots.
-    X = featurize_tabular_many(_candidates(corpus), corpus, encoder)
+    X = featurize_pairs_tabular(corpus.pairs(_candidates(corpus)), encoder)
     assert X.shape[1] == encoder.width
 
 
@@ -128,7 +128,7 @@ def test_resolved_kept_when_sometimes_missing():
     encoder = fit_encoder(cands, corpus)
     assert encoder.include_resolved
     names = list(encoder.feature_names)
-    X = featurize_tabular_many(cands, corpus, encoder)
+    X = featurize_pairs_tabular(corpus.pairs(cands), encoder)
     flags = X[:, names.index("resolved_present")]
     missing_rows = [
         k for k, c in enumerate(cands) if corpus.issue(c.issue_id).resolved_date is None
@@ -149,7 +149,7 @@ def test_identity_one_hots_with_other_bucket():
     author_cols = [n for n in names if n.startswith("author=")]
     assert len(author_cols) == 3  # top 2 + OTHER
     assert author_cols[-1] == "author=OTHER"
-    X = featurize_tabular_many(cands, corpus, encoder)
+    X = featurize_pairs_tabular(corpus.pairs(cands), encoder)
     block = X[:, [names.index(n) for n in author_cols]]
     assert np.all(block.sum(axis=1) == 1.0)
     # An identity outside the top-k lands in OTHER.
@@ -204,8 +204,8 @@ def test_features_do_not_depend_on_labels():
     encoder_a = fit_encoder(cands, corpus)
     encoder_b = fit_encoder(flipped, corpus)
     assert encoder_a.feature_names == encoder_b.feature_names
-    X_a = featurize_tabular_many(cands, corpus, encoder_a)
-    X_b = featurize_tabular_many(flipped, corpus, encoder_b)
+    X_a = featurize_pairs_tabular(corpus.pairs(cands), encoder_a)
+    X_b = featurize_pairs_tabular(corpus.pairs(flipped), encoder_b)
     assert np.array_equal(X_a, X_b)
 
 

@@ -9,7 +9,7 @@ from hybrid_linker.linkgen import LinkCandidate, generate_candidates
 from hybrid_linker.corpus import synthesize_corpus
 from hybrid_linker.textprep import TokenStream, load_stopwords
 from hybrid_linker.tfidf import (
-    featurize_textual_many,
+    featurize_pairs_textual,
     fit,
     fit_transform,
     fit_vectorizers,
@@ -151,7 +151,7 @@ def test_featurize_blocks_concatenate_per_document_transforms():
     stopwords = load_stopwords()
     candidates = generate_candidates(corpus, window_days=7)[:30]
     vectorizers = fit_vectorizers(candidates, corpus, stopwords=stopwords)
-    matrix = featurize_textual_many(candidates, corpus, vectorizers, stopwords)
+    matrix = featurize_pairs_textual(corpus.pairs(candidates), vectorizers, stopwords)
     assert matrix.shape == (len(candidates), vectorizers.width)
     start_msg = vectorizers.issue.width
     start_code = start_msg + vectorizers.message.width
