@@ -48,10 +48,6 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
     def predict(self, X) -> np.ndarray:
         """Leaf value per row; accepts dense or CSR input."""
         if sp.issparse(X):

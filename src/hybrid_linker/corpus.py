@@ -112,9 +112,6 @@ class Corpus:
         except KeyError:
             raise KeyError(f"unknown commit hash {commit_hash!r}") from None
 
-    def has_issue(self, issue_id: str) -> bool:
-        return issue_id in self._issue_index
-
     def linked_commits(self) -> tuple[Commit, ...]:
         return tuple(c for c in self.commits if c.linked_issue_ids)
 

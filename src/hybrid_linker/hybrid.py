@@ -12,12 +12,18 @@ byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
+import types
+import typing
 import zipfile
-from dataclasses import dataclass, replace
+import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -26,6 +32,8 @@ from .config import Config
 from .corpus import Commit, Corpus, Issue
 from .linkgen import LinkCandidate
 from .learn import (
+    RETIRED_VARIANTS,
+    VARIANTS,
     LearnerError,
     LearnerParams,
     SoftVoteEnsemble,
@@ -241,196 +249,138 @@ def train_hybrid(
     )
 
 
-def _npy_bytes(array: np.ndarray, dtype: str) -> bytes:
+# Bundle layout. A bundle is a zip of manifest.json plus one little-endian
+# .npy member per array, arrays/<section>.<field>.npy; save_model and
+# load_model both walk these tables.
+_MANIFEST = "manifest.json"
+# HybridModel fields stored as they are; sets are stored sorted.
+_MODEL_META = (
+    "project",
+    "alpha",
+    "threshold",
+    "stopwords",
+    "config",
+    "validation_f1",
+    "n_fit",
+    "n_validation",
+)
+_ENCODER_KEYS = tuple(item.name for item in fields(TabularEncoder) if item.init)
+_VECTORIZERS = tuple(
+    (f"vec_{item.name}", item.name) for item in fields(TextualVectorizers)
+)
+_VECTORIZER_META = ("ngram_range", "max_features")
+_IDF = ("idf", "<f8")
+# TrainedLearner fields stored in each learner's manifest object.
+_LEARNER_META = (
+    "variant",
+    "width",
+    "base_score",
+    "bias",
+    "tree_scales",
+    "train_losses",
+)
+# A tree ensemble stores tree_sizes and each Tree field concatenated over
+# its trees, as arrays/<learner>.tree_<field>.npy.
+_TREE_ARRAYS = (
+    ("sizes", "<i4"),
+    ("feature", "<i4"),
+    ("threshold", "<f8"),
+    ("left", "<i4"),
+    ("right", "<i4"),
+    ("value", "<f8"),
+)
+# The arrays of every other variant, with their shapes; None is the width.
+_FLAT_ARRAYS = {
+    "logistic_regression": (("weights", "<f8", (None,)),),
+    "naive_bayes": (
+        ("class_log_prior", "<f8", (2,)),
+        ("feature_means", "<f8", (2, None)),
+        ("feature_vars", "<f8", (2, None)),
+    ),
+}
+
+_type_hints = functools.cache(typing.get_type_hints)
+# What reading a member of a corrupt, compressed or encrypted zip raises.
+_ZIP_ERRORS = (
+    zipfile.BadZipFile,
+    zlib.error,
+    OSError,
+    EOFError,
+    NotImplementedError,
+    RuntimeError,
+)
+# The Python types json.loads returns for a value of each annotated type.
+_JSON_TYPES = {str: {str}, int: {int}, float: {int, float}, bool: {bool}}
+
+
+def _plain(values, hint) -> bool:
+    """Whether all values are JSON scalars of the annotated type; a float
+    must be finite, as json.loads also accepts NaN and Infinity."""
+    return set(map(type, values)) <= _JSON_TYPES.get(hint, set()) and (
+        hint is not float or all(map(math.isfinite, values))
+    )
+
+
+def _member(section: str, field: str) -> str:
+    return f"arrays/{section}.{field}.npy"
+
+
+def _learners(textual, members) -> list[tuple[str, object]]:
+    """Each learner's section name, which also prefixes its array members."""
+    return [("textual", textual)] + [
+        (f"nontextual_{position}", member) for position, member in enumerate(members)
+    ]
+
+
+def _npy_bytes(array, dtype: str) -> bytes:
     buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array.astype(dtype)))
+    np.save(buffer, np.ascontiguousarray(array, dtype=dtype))
     return buffer.getvalue()
 
 
 def _learner_payload(name: str, model: TrainedLearner):
-    meta = {
-        "variant": model.variant,
-        "params": model.params.to_dict(),
-        "width": model.width,
-        "base_score": model.base_score,
-        "bias": model.bias,
-        "tree_scales": list(model.tree_scales),
-        "train_losses": list(model.train_losses),
-        "arrays": [],
+    meta = {key: getattr(model, key) for key in _LEARNER_META}
+    meta["params"] = model.params.to_dict()
+    if model.variant in _FLAT_ARRAYS:
+        layout = [
+            (field, dtype, getattr(model, field))
+            for field, dtype, _ in _FLAT_ARRAYS[model.variant]
+        ]
+    else:
+        nodes = {"sizes": [tree.n_nodes for tree in model.trees]}
+        for field, _ in _TREE_ARRAYS[1:]:
+            nodes[field] = np.concatenate([getattr(t, field) for t in model.trees])
+        layout = [
+            (f"tree_{field}", dtype, nodes[field]) for field, dtype in _TREE_ARRAYS
+        ]
+    meta["arrays"] = [field for field, _, _ in layout]
+    arrays = {
+        _member(name, field): _npy_bytes(data, dtype) for field, dtype, data in layout
     }
-    arrays: dict[str, bytes] = {}
-
-    def put(field: str, data: np.ndarray, dtype: str) -> None:
-        file_name = f"arrays/{name}.{field}.npy"
-        arrays[file_name] = _npy_bytes(data, dtype)
-        meta["arrays"].append(field)
-
-    if model.trees:
-        counts = np.array([t.n_nodes for t in model.trees], dtype=np.int64)
-        put("tree_sizes", counts, "<i4")
-        put("tree_feature", np.concatenate([t.feature for t in model.trees]), "<i4")
-        put(
-            "tree_threshold",
-            np.concatenate([t.threshold for t in model.trees]),
-            "<f8",
-        )
-        put("tree_left", np.concatenate([t.left for t in model.trees]), "<i4")
-        put("tree_right", np.concatenate([t.right for t in model.trees]), "<i4")
-        put("tree_value", np.concatenate([t.value for t in model.trees]), "<f8")
-    if model.weights is not None:
-        put("weights", model.weights, "<f8")
-    if model.class_log_prior is not None:
-        put("class_log_prior", model.class_log_prior, "<f8")
-        put("feature_means", model.feature_means, "<f8")
-        put("feature_vars", model.feature_vars, "<f8")
     return meta, arrays
-
-
-def _learner_from_payload(
-    path, name: str, meta: dict, read_array
-) -> TrainedLearner:
-    try:
-        params = LearnerParams.from_dict(meta["params"])
-    except LearnerError as exc:
-        raise HybridError(f"{path}: {name}: {exc}") from None
-    model = TrainedLearner(
-        # The params carry the variant with retired names already mapped.
-        variant=params.variant,
-        params=params,
-        width=meta["width"],
-        base_score=meta["base_score"],
-        bias=meta["bias"],
-        tree_scales=tuple(meta["tree_scales"]),
-        train_losses=tuple(meta["train_losses"]),
-    )
-    fields = set(meta["arrays"])
-    if "tree_sizes" in fields:
-        sizes = read_array(f"arrays/{name}.tree_sizes.npy")
-        feature = read_array(f"arrays/{name}.tree_feature.npy")
-        threshold = read_array(f"arrays/{name}.tree_threshold.npy")
-        left = read_array(f"arrays/{name}.tree_left.npy")
-        right = read_array(f"arrays/{name}.tree_right.npy")
-        value = read_array(f"arrays/{name}.tree_value.npy")
-        trees = []
-        offset = 0
-        for size in sizes:
-            stop = offset + int(size)
-            trees.append(
-                Tree(
-                    feature=feature[offset:stop].astype(np.int32),
-                    threshold=threshold[offset:stop].astype(np.float64),
-                    left=left[offset:stop].astype(np.int32),
-                    right=right[offset:stop].astype(np.int32),
-                    value=value[offset:stop].astype(np.float64),
-                )
-            )
-            offset = stop
-        model.trees = tuple(trees)
-    if "weights" in fields:
-        model.weights = read_array(f"arrays/{name}.weights.npy").astype(np.float64)
-    if "class_log_prior" in fields:
-        model.class_log_prior = read_array(
-            f"arrays/{name}.class_log_prior.npy"
-        ).astype(np.float64)
-        model.feature_means = read_array(
-            f"arrays/{name}.feature_means.npy"
-        ).astype(np.float64)
-        model.feature_vars = read_array(
-            f"arrays/{name}.feature_vars.npy"
-        ).astype(np.float64)
-    return model
-
-
-def _vectorizer_payload(name: str, model: TfidfModel):
-    meta = {
-        "terms": model.terms(),
-        "ngram_range": list(model.ngram_range),
-        "max_features": model.max_features,
-    }
-    arrays = {f"arrays/{name}.idf.npy": _npy_bytes(model.idf, "<f8")}
-    return meta, arrays
-
-
-def _vectorizer_from_payload(name: str, meta: dict, read_array) -> TfidfModel:
-    terms = meta["terms"]
-    return TfidfModel(
-        term_index={term: i for i, term in enumerate(terms)},
-        idf=read_array(f"arrays/{name}.idf.npy").astype(np.float64),
-        ngram_range=tuple(meta["ngram_range"]),
-        max_features=meta["max_features"],
-    )
-
-
-def _encoder_payload(encoder: TabularEncoder) -> dict:
-    return {
-        "status_map": encoder.status_map,
-        "type_map": encoder.type_map,
-        "identity_vocabs": {
-            column: list(vocab) for column, vocab in encoder.identity_vocabs.items()
-        },
-        "include_reporter": encoder.include_reporter,
-        "include_resolved": encoder.include_resolved,
-        "gap_features": encoder.gap_features,
-        "identity_top_k": encoder.identity_top_k,
-        "redundancy": encoder.redundancy,
-        "unmapped_status": encoder.unmapped_status,
-        "unmapped_type": encoder.unmapped_type,
-    }
-
-
-def _encoder_from_payload(data: dict) -> TabularEncoder:
-    return TabularEncoder(
-        status_map=data["status_map"],
-        type_map=data["type_map"],
-        identity_vocabs={
-            column: tuple(vocab) for column, vocab in data["identity_vocabs"].items()
-        },
-        include_reporter=data["include_reporter"],
-        include_resolved=data["include_resolved"],
-        gap_features=data["gap_features"],
-        identity_top_k=data["identity_top_k"],
-        redundancy=data["redundancy"],
-        unmapped_status=data["unmapped_status"],
-        unmapped_type=data["unmapped_type"],
-    )
 
 
 def save_model(model: HybridModel, path: str | Path) -> None:
     """Write a model bundle; equal models yield byte-identical files."""
+    manifest = {"format": BUNDLE_FORMAT, "nontextual_kind": model.nontextual.kind}
+    for key in _MODEL_META:
+        value = getattr(model, key)
+        manifest[key] = sorted(value) if isinstance(value, frozenset) else value
+    manifest["encoder"] = {key: getattr(model.encoder, key) for key in _ENCODER_KEYS}
     files: dict[str, bytes] = {}
-    manifest = {
-        "format": BUNDLE_FORMAT,
-        "project": model.project,
-        "alpha": model.alpha,
-        "threshold": model.threshold,
-        "stopwords": sorted(model.stopwords),
-        "config": model.config,
-        "validation_f1": model.validation_f1,
-        "n_fit": model.n_fit,
-        "n_validation": model.n_validation,
-        "nontextual_kind": model.nontextual.kind,
-        "encoder": _encoder_payload(model.encoder),
-    }
-    for name, vec in (
-        ("vec_issue", model.vectorizers.issue),
-        ("vec_message", model.vectorizers.message),
-        ("vec_code", model.vectorizers.code),
-    ):
-        meta, arrays = _vectorizer_payload(name, vec)
-        manifest[name] = meta
+    for name, field in _VECTORIZERS:
+        vec = getattr(model.vectorizers, field)
+        manifest[name] = {key: getattr(vec, key) for key in _VECTORIZER_META}
+        manifest[name]["terms"] = vec.terms()
+        files[_member(name, _IDF[0])] = _npy_bytes(vec.idf, _IDF[1])
+    metas = []
+    for name, learner in _learners(model.textual, model.nontextual.members):
+        meta, arrays = _learner_payload(name, learner)
+        metas.append(meta)
         files.update(arrays)
-    meta, arrays = _learner_payload("textual", model.textual)
-    manifest["textual"] = meta
-    files.update(arrays)
-    member_metas = []
-    for position, member in enumerate(model.nontextual.members):
-        meta, arrays = _learner_payload(f"nontextual_{position}", member)
-        member_metas.append(meta)
-        files.update(arrays)
-    manifest["nontextual_members"] = member_metas
-    files["manifest.json"] = (
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
+    manifest["textual"], *manifest["nontextual_members"] = metas
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    files[_MANIFEST] = text.encode("utf-8")
 
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as bundle:
         for name in sorted(files):
@@ -438,52 +388,241 @@ def save_model(model: HybridModel, path: str | Path) -> None:
             bundle.writestr(info, files[name])
 
 
+class _BundleReader:
+    """Checked reads from one open bundle.
+
+    Every failure raises HybridError("<bundle>: <where>: <problem>"), where
+    is a member name or a dotted manifest key such as textual.params.seed.
+    """
+
+    def __init__(self, path, bundle: zipfile.ZipFile):
+        self.path = path
+        self.bundle = bundle
+
+    def fail(self, where: str, problem: str) -> NoReturn:
+        raise HybridError(f"{self.path}: {where}: {problem}") from None
+
+    @contextmanager
+    def located(self, where: str):
+        """Report a constructor's validation error at where."""
+        try:
+            yield
+        except (LearnerError, ValueError) as exc:
+            self.fail(where, str(exc))
+
+    def read(self, member: str) -> bytes:
+        try:
+            return self.bundle.read(member)
+        except KeyError:
+            self.fail(member, "missing")
+        except _ZIP_ERRORS as exc:
+            self.fail(member, f"unreadable: {exc}")
+
+    def array(self, section: str, field: str, dtype: str, shape=None) -> np.ndarray:
+        member = _member(section, field)
+        try:
+            array = np.lib.format.read_array(
+                io.BytesIO(self.read(member)), allow_pickle=False
+            )
+        except ValueError as exc:
+            self.fail(member, f"unreadable .npy: {exc}")
+        # Without a shape, any one-dimensional array will do.
+        if array.dtype != np.dtype(dtype) or array.shape != (shape or (array.size,)):
+            self.fail(
+                member,
+                f"expected {dtype} with shape {shape or '(n,)'}, "
+                f"got {array.dtype.str} with shape {array.shape}",
+            )
+        if array.dtype.kind == "f" and not np.isfinite(array).all():
+            self.fail(member, "holds values that are not finite")
+        return array
+
+    def get(self, section: dict, key: str, hint, where: str = ""):
+        path = f"{where}.{key}" if where else key
+        if key not in section:
+            self.fail(path, "missing")
+        return self.decode(section[key], hint, path)
+
+    def record(self, section: dict, cls, keys, where: str = "") -> dict:
+        """The given fields of cls, each checked against its annotation."""
+        hints = _type_hints(cls)
+        return {key: self.get(section, key, hints[key], where) for key in keys}
+
+    def decode(self, value, hint, where: str):
+        """A JSON value checked against a type annotation; JSON lists become
+        the tuple or frozenset the annotation names."""
+        origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+        if origin is types.UnionType:  # every union here is X | None
+            return None if value is None else self.decode(value, args[0], where)
+        if _plain((value,), origin):
+            return value
+        if is_dataclass(origin) and isinstance(value, dict):
+            return self.record(value, origin, [f.name for f in fields(origin)], where)
+        if origin in (list, tuple, frozenset) and isinstance(value, list):
+            if origin is tuple and Ellipsis not in args and len(value) != len(args):
+                self.fail(where, f"expected {len(args)} items, got {len(value)}")
+            # Items are decoded one by one only when they are not all plain,
+            # which keeps long term lists cheap.
+            if not _plain(value, args[0]):
+                value = [
+                    self.decode(item, args[0], f"{where}[{i}]")
+                    for i, item in enumerate(value)
+                ]
+            return origin(value)
+        if origin is dict and isinstance(value, dict):
+            if args and not _plain(value.values(), args[1]):
+                value = {
+                    key: self.decode(item, args[1], f"{where}.{key}")
+                    for key, item in value.items()
+                }
+            return value
+        expected = hint.__name__ if isinstance(hint, type) else str(hint)
+        got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+        self.fail(where, f"expected {expected}, got {got}")
+
+    def vectorizer(self, name: str, meta: dict) -> TfidfModel:
+        terms = self.get(meta, "terms", list[str], name)
+        term_index = {term: i for i, term in enumerate(terms)}
+        values = self.record(meta, TfidfModel, _VECTORIZER_META, name)
+        low, high = values["ngram_range"]
+        if not 1 <= low <= high:
+            self.fail(f"{name}.ngram_range", f"[{low}, {high}] is not 1 <= low <= high")
+        return TfidfModel(
+            term_index=term_index,
+            idf=self.array(name, *_IDF, (len(term_index),)),
+            **values,
+        )
+
+    def learner(self, name: str, meta: dict) -> TrainedLearner:
+        data = self.get(meta, "params", dict, name)
+        with self.located(name):
+            params = LearnerParams.from_dict(data)
+        self.decode(data, LearnerParams, f"{name}.params")  # every field present
+        model = TrainedLearner(
+            params=params, **self.record(meta, TrainedLearner, _LEARNER_META, name)
+        )
+        model.variant = RETIRED_VARIANTS.get(model.variant, model.variant)
+        if model.variant not in VARIANTS:
+            self.fail(f"{name}.variant", f"unknown variant {model.variant!r}")
+        flat = _FLAT_ARRAYS.get(model.variant)
+        names = [field for field, *_ in flat] if flat else [
+            f"tree_{field}" for field, _ in _TREE_ARRAYS
+        ]
+        if self.get(meta, "arrays", list[str], name) != names:
+            self.fail(f"{name}.arrays", f"a {model.variant} stores {names}")
+        if flat:
+            for field, dtype, shape in flat:
+                shape = tuple(model.width if n is None else n for n in shape)
+                setattr(model, field, self.array(name, field, dtype, shape))
+            return model
+        nodes = {
+            field: self.array(name, f"tree_{field}", dtype)
+            for field, dtype in _TREE_ARRAYS
+        }
+        sizes = nodes.pop("sizes")
+        self.check_trees(name, model, sizes, nodes)
+        ends = np.cumsum(sizes).tolist()
+        model.trees = tuple(
+            Tree(**{field: column[start:end] for field, column in nodes.items()})
+            for start, end in zip([0] + ends[:-1], ends)
+        )
+        return model
+
+    def check_trees(self, name, model, sizes, nodes) -> None:
+        """Check a learner's concatenated trees in one vectorized pass.
+
+        Children must point forward inside their own tree and a leaf is
+        feature -1 with children -1, so every walk from a root ends at a leaf
+        after at most tree-size steps and reads no feature past the width.
+        """
+
+        def fail(field: str, problem: str) -> NoReturn:
+            self.fail(_member(name, f"tree_{field}"), problem)
+
+        def check(field: str, broken: np.ndarray, problem: str) -> None:
+            if broken.any():
+                fail(field, f"position {int(np.argmax(broken))}: {problem}")
+
+        # predict_proba zips trees with tree_scales and would drop extras.
+        scales = len(model.tree_scales)
+        if not 0 < len(sizes) == scales:
+            fail("sizes", f"{len(sizes)} trees, but {scales} tree scales")
+        check("sizes", sizes < 1, "a tree needs at least one node")
+        total = int(sizes.sum())
+        for field, column in nodes.items():
+            if len(column) != total:
+                fail(field, f"{len(column)} nodes, but the tree sizes sum to {total}")
+        size = np.repeat(sizes, sizes)
+        local = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        feature = nodes["feature"]
+        leaf = feature == -1
+        check(
+            "feature",
+            ~leaf & ((feature < 0) | (feature >= model.width)),
+            f"neither -1 (a leaf) nor a feature in [0, {model.width})",
+        )
+        for field in ("left", "right"):
+            child = nodes[field]
+            check(
+                field,
+                np.where(leaf, child != -1, (child <= local) | (child >= size)),
+                "neither -1 at a leaf nor a later node of the same tree",
+            )
+
+
 def load_model(path: str | Path) -> HybridModel:
-    """Read a model bundle written by save_model."""
+    """Read a model bundle written by save_model, checking all of it.
+
+    A missing or wrongly typed key, a missing or unreadable member, an array
+    of the wrong dtype or shape, a malformed tree or a width that does not
+    match raises HybridError naming the bundle and the key or member.
+    """
     try:
         bundle = zipfile.ZipFile(path, "r")
     except (OSError, zipfile.BadZipFile) as exc:
         raise HybridError(f"cannot open model bundle {path}: {exc}") from None
     with bundle:
+        reader = _BundleReader(path, bundle)
         try:
-            manifest = json.loads(bundle.read("manifest.json"))
-        except KeyError:
-            raise HybridError(f"{path}: not a model bundle (no manifest)") from None
+            manifest = json.loads(reader.read(_MANIFEST))
+        except ValueError as exc:
+            reader.fail(_MANIFEST, f"invalid JSON: {exc}")
+        reader.decode(manifest, dict, _MANIFEST)
         if manifest.get("format") != BUNDLE_FORMAT:
-            raise HybridError(
-                f"{path}: unsupported bundle format {manifest.get('format')!r}"
+            found = manifest.get("format")
+            reader.fail("format", f"unsupported bundle format {found!r}")
+        values = reader.record(manifest, HybridModel, _MODEL_META)
+        reader.decode(values["config"], Config, "config")
+        if not 0.0 <= values["alpha"] <= 1.0:
+            reader.fail("alpha", f"must lie in [0, 1], got {values['alpha']!r}")
+        values["vectorizers"] = TextualVectorizers(
+            **{
+                field: reader.vectorizer(name, reader.get(manifest, name, dict))
+                for name, field in _VECTORIZERS
+            }
+        )
+        section = reader.get(manifest, "encoder", dict)
+        with reader.located("encoder"):
+            values["encoder"] = TabularEncoder(
+                **reader.record(section, TabularEncoder, _ENCODER_KEYS, "encoder")
             )
-
-        def read_array(name: str) -> np.ndarray:
-            return np.load(io.BytesIO(bundle.read(name)), allow_pickle=False)
-
-        vectorizers = TextualVectorizers(
-            issue=_vectorizer_from_payload("vec_issue", manifest["vec_issue"], read_array),
-            message=_vectorizer_from_payload(
-                "vec_message", manifest["vec_message"], read_array
-            ),
-            code=_vectorizer_from_payload("vec_code", manifest["vec_code"], read_array),
-        )
-        textual = _learner_from_payload(
-            path, "textual", manifest["textual"], read_array
-        )
-        members = tuple(
-            _learner_from_payload(path, f"nontextual_{position}", meta, read_array)
-            for position, meta in enumerate(manifest["nontextual_members"])
-        )
-        return HybridModel(
-            project=manifest["project"],
-            alpha=manifest["alpha"],
-            threshold=manifest["threshold"],
-            stopwords=frozenset(manifest["stopwords"]),
-            vectorizers=vectorizers,
-            encoder=_encoder_from_payload(manifest["encoder"]),
-            textual=textual,
-            nontextual=SoftVoteEnsemble(
-                kind=manifest["nontextual_kind"], members=members
-            ),
-            config=manifest["config"],
-            validation_f1=manifest["validation_f1"],
-            n_fit=manifest["n_fit"],
-            n_validation=manifest["n_validation"],
-        )
+        learners = [
+            (name, reader.learner(name, meta))
+            for name, meta in _learners(
+                reader.get(manifest, "textual", dict),
+                reader.get(manifest, "nontextual_members", list[dict]),
+            )
+        ]
+        widths = [values["vectorizers"].width]
+        widths += [values["encoder"].width] * (len(learners) - 1)
+        for (name, learner), width in zip(learners, widths):
+            if learner.width != width:
+                reader.fail(
+                    f"{name}.width", f"{learner.width}, but the features are {width}"
+                )
+        values["textual"], *members = (learner for _, learner in learners)
+        with reader.located("nontextual_kind"):
+            values["nontextual"] = SoftVoteEnsemble(
+                reader.get(manifest, "nontextual_kind", str), tuple(members)
+            )
+    return HybridModel(**values)

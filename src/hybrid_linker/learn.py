@@ -28,12 +28,8 @@ VARIANTS = (
     "logistic_regression",
 )
 
-TREE_VARIANTS = (
-    "decision_tree",
-    "random_forest",
-    "gradient_boosting",
-    "regularized_gradient_boosting",
-)
+# Retired variant names, each loading as the variant that ran the same code.
+RETIRED_VARIANTS = {"sgd_classifier": "logistic_regression"}
 
 # Boosting stops early once a stage improves training log-loss by less
 # than this.
@@ -113,8 +109,8 @@ class LearnerParams:
                     f"got {value!r}"
                 )
         values = dict(data)
-        if values.get("variant") == "sgd_classifier":
-            values["variant"] = "logistic_regression"
+        if values.get("variant") in RETIRED_VARIANTS:
+            values["variant"] = RETIRED_VARIANTS[values["variant"]]
         if base is not None:
             return replace(base, **values)
         if "variant" not in values:

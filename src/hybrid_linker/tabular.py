@@ -107,12 +107,41 @@ class TabularEncoder:
     redundancy: dict[str, float]
     unmapped_status: dict[str, int]
     unmapped_type: dict[str, int]
+    # The column layout, derived here once: feature names and the first
+    # column of each block (identity blocks per column, in layout order).
     feature_names: tuple[str, ...] = field(init=False, compare=False)
+    resolved_at: int = field(init=False, compare=False)
+    gaps_at: int = field(init=False, compare=False)
+    status_at: int = field(init=False, compare=False)
+    type_at: int = field(init=False, compare=False)
+    identity_at: dict[str, int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        columns = ["creator", "author", "committer"]
+        if self.include_reporter:
+            columns.append("reporter")
+        if sorted(self.identity_vocabs) != sorted(columns):
+            raise ValueError(
+                f"identity columns {sorted(self.identity_vocabs)} "
+                f"do not match {sorted(columns)}"
+            )
+        for mapping, classes in (
+            (self.status_map, STATUS_CLASSES),
+            (self.type_map, TYPE_CLASSES),
+        ):
+            unknown = sorted(set(mapping.values()) - set(classes))
+            if unknown:
+                raise ValueError(f"labels map to {unknown}, not one of {classes}")
+
         names = ["author_time_day", "commit_time_day", "created_day", "updated_day"]
+
+        def start(block: str) -> None:
+            object.__setattr__(self, block, len(names))
+
+        start("resolved_at")
         if self.include_resolved:
             names += ["resolved_day", "resolved_present"]
+        start("gaps_at")
         if self.gap_features:
             issue_dates = ["created", "updated"]
             if self.include_resolved:
@@ -120,19 +149,18 @@ class TabularEncoder:
             for commit_date in ("author_time", "commit_time"):
                 for issue_date in issue_dates:
                     names.append(f"gap_{commit_date}_{issue_date}")
+        start("status_at")
         names += [f"status={cls}" for cls in STATUS_CLASSES]
+        start("type_at")
         names += [f"type={cls}" for cls in TYPE_CLASSES]
-        for column in self._identity_columns():
+        identity_at = {}
+        for column in columns:
+            identity_at[column] = len(names)
             for ident in self.identity_vocabs[column]:
                 names.append(f"{column}={ident}")
             names.append(f"{column}={OTHER}")
+        object.__setattr__(self, "identity_at", identity_at)
         object.__setattr__(self, "feature_names", tuple(names))
-
-    def _identity_columns(self) -> tuple[str, ...]:
-        columns = ["creator", "author", "committer"]
-        if self.include_reporter:
-            columns.append("reporter")
-        return tuple(columns)
 
     @property
     def width(self) -> int:
@@ -222,26 +250,11 @@ def featurize_pairs_tabular(pairs, encoder: TabularEncoder) -> np.ndarray:
     """Encode (issue, commit) pairs as a dense (n, width) float matrix."""
     pairs = list(pairs)
     out = np.zeros((len(pairs), encoder.width), dtype=np.float64)
-    identity_columns = encoder._identity_columns()
-    # Column offsets are fixed by the layout built in __post_init__.
-    cursor = 4
-    if encoder.include_resolved:
-        resolved_at = cursor
-        cursor += 2
-    gaps_at = cursor
-    if encoder.gap_features:
-        cursor += 4 + (2 if encoder.include_resolved else 0)
-    status_at = cursor
-    type_at = status_at + len(STATUS_CLASSES)
-    identity_at: dict[str, int] = {}
-    offset = type_at + len(TYPE_CLASSES)
-    for column in identity_columns:
-        identity_at[column] = offset
-        offset += len(encoder.identity_vocabs[column]) + 1
-
+    resolved_at, gaps_at = encoder.resolved_at, encoder.gaps_at
+    status_at, type_at = encoder.status_at, encoder.type_at
     identity_index = {
         column: {ident: i for i, ident in enumerate(encoder.identity_vocabs[column])}
-        for column in identity_columns
+        for column in encoder.identity_at
     }
 
     for row, (issue, commit) in enumerate(pairs):
@@ -282,10 +295,10 @@ def featurize_pairs_tabular(pairs, encoder: TabularEncoder) -> np.ndarray:
             "committer": commit.committer,
             "reporter": issue.reporter,
         }
-        for column in identity_columns:
+        for column, start in encoder.identity_at.items():
             index = identity_index[column].get(values[column])
             if index is None:
                 index = len(encoder.identity_vocabs[column])
-            out[row, identity_at[column] + index] = 1.0
+            out[row, start + index] = 1.0
     return out
 

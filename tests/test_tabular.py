@@ -223,3 +223,51 @@ def test_encoder_fits_only_on_given_candidates():
     if excluded_creator not in kept_creators:
         assert excluded_creator not in encoder.identity_vocabs["creator"]
     assert synth.project != ""
+
+
+@pytest.mark.parametrize("resolved, gaps", [(True, True), (False, False)])
+def test_block_offsets_hold_for_an_identity_named_other(resolved, gaps):
+    # A creator literally named OTHER repeats the name creator=OTHER, so the
+    # columns must come from the recorded block offsets, not from names.
+    issues = [
+        make_issue(
+            issue_id=f"I-{i}",
+            created=T0 + i * DAY,
+            resolved=T0 + (i + 2) * DAY if resolved else None,
+            creator="OTHER" if i % 2 else f"dev-{i}",
+        )
+        for i in range(6)
+    ]
+    commits = [
+        make_commit(tag=f"c{i}", author_time=T0 + i * DAY, linked=(f"I-{i}",))
+        for i in range(6)
+    ]
+    corpus = make_corpus(issues, commits)
+    cands = _candidates(corpus)
+    encoder = fit_encoder(cands, corpus, gap_features=gaps)
+    names = encoder.feature_names
+    assert names.count("creator=OTHER") == 2
+    assert encoder.include_resolved == resolved
+    assert names[encoder.status_at] == "status=open"
+    assert names[encoder.type_at] == "type=task"
+    last_date = "resolved_present" if resolved else "updated_day"
+    assert names[encoder.status_at - 1].startswith("gap_" if gaps else last_date)
+    if resolved:
+        assert names[encoder.resolved_at : encoder.resolved_at + 2] == (
+            "resolved_day", "resolved_present",
+        )
+    start = encoder.type_at + 3
+    for column, at in encoder.identity_at.items():
+        assert at == start
+        start += len(encoder.identity_vocabs[column]) + 1
+    assert start == encoder.width
+
+    vocab = encoder.identity_vocabs["creator"]
+    creator_at = encoder.identity_at["creator"]
+    stranger = make_issue(issue_id="I-x", creator="nobody-seen")
+    pairs = [(corpus.issue("I-1"), commits[0]), (stranger, commits[0])]
+    X = featurize_pairs_tabular(pairs, encoder)
+    block = X[:, creator_at : creator_at + len(vocab) + 1]
+    assert block.sum(axis=1).tolist() == [1.0, 1.0]
+    assert block[0, vocab.index("OTHER")] == 1.0  # the identity OTHER
+    assert block[1, len(vocab)] == 1.0  # the bucket for unseen identities
