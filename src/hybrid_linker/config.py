@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from . import HybridLinkerError
+from . import HybridLinkerError, _json
+from .corpus import _locate_decode_error
 from .learn import DEFAULT_ENSEMBLE_KIND, ENSEMBLE_KINDS, LearnerError, LearnerParams
 
 
@@ -85,10 +86,15 @@ class Config:
             raise ConfigError("tune_on must be 'validation' or 'test'")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie strictly between 0 and 1")
-        if not 0.0 < self.alpha_step <= 1.0:
-            raise ConfigError("alpha_step must lie in (0, 1]")
+        # The alpha grid has 1 / alpha_step + 1 points.
+        if not 0.001 <= self.alpha_step <= 1.0:
+            raise ConfigError("alpha_step must lie in [0.001, 1]")
         if self.window_days is not None and self.window_days < 0:
             raise ConfigError("window_days must be non-negative or null")
+        for name in ("seed", "balance_seed", "split_seed", "fold_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be non-negative")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
         if self.identity_top_k < 1:
@@ -101,6 +107,11 @@ class Config:
             raise ConfigError(
                 f"nontextual_kind must be one of {sorted(ENSEMBLE_KINDS)}"
             )
+        for key, params in self.nontextual.items():
+            if params.variant != key:
+                raise ConfigError(
+                    f"nontextual.{key}: variant {params.variant!r} differs from its key"
+                )
 
     def resolved_balance_seed(self) -> int:
         return self.seed if self.balance_seed is None else self.balance_seed
@@ -133,45 +144,47 @@ def _section_params(section: str, data, base: LearnerParams) -> LearnerParams:
 
 
 def config_from_dict(data: dict) -> Config:
-    """Build a Config from a plain dict, typically parsed JSON."""
+    """Build a Config from a plain dict, typically parsed JSON.
+
+    Every value is checked against its field's annotation; a failure raises
+    ConfigError("<key or section>: <problem>").
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {item.name for item in fields(Config)}
-    unknown = set(data) - known
+    unknown = set(data) - set(_json.type_hints(Config))
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    values = dict(data)
-    if "textual" in values:
+    try:
+        plain = [key for key in data if key not in ("textual", "nontextual")]
+        values = _json.record(data, Config, plain)
+        nontextual = _json.decode(data.get("nontextual", {}), dict, "nontextual")
+    except _json.DecodeError as exc:
+        raise ConfigError(str(exc)) from None
+    if "textual" in data:
         values["textual"] = _section_params(
-            "textual", values["textual"], default_textual_params()
+            "textual", data["textual"], default_textual_params()
         )
-    if "nontextual" in values:
-        section = values["nontextual"]
-        if not isinstance(section, dict):
-            raise ConfigError(
-                f"nontextual: must be an object, got {type(section).__name__}"
-            )
+    if nontextual:
         merged = default_nontextual_params()
-        for variant, sub in section.items():
+        for variant, sub in nontextual.items():
             if variant not in merged:
                 raise ConfigError(
-                    f"nontextual params allow only ensemble member variants, "
-                    f"got {variant!r}"
+                    f"nontextual.{variant}: not an ensemble member variant; "
+                    f"use one of {sorted(merged)}"
                 )
             merged[variant] = _section_params(
                 f"nontextual.{variant}", sub, merged[variant]
             )
         values["nontextual"] = merged
-    try:
-        return Config(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return Config(**values)
 
 
 def load_config(path: str | Path) -> Config:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError:
+        raise ConfigError(_locate_decode_error(path)) from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(data)
 

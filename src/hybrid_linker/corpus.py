@@ -215,7 +215,7 @@ def _read_jsonl(path: Path, builder) -> list:
                 where = f"{path}:{lineno}"
                 try:
                     raw = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from None
                 if not isinstance(raw, dict):
                     raise CorpusFormatError(f"{where}: record must be a JSON object")

@@ -1,4 +1,4 @@
-"""Metrics, fold assignment, cross-validation, and ablation reports.
+"""Fold assignment, cross-validation, and ablation reports.
 
 Reports are plain dicts rendered with sorted keys and no timestamps, so a
 repeated run over the same inputs produces byte-identical output.
@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .config import Config
 from .corpus import Corpus
 from .hybrid import (
+    Metrics,
     channel_probabilities,
     fuse_arrays,
+    metrics,
     train_hybrid,
     tune_alpha,
 )
@@ -37,62 +39,6 @@ REFERENCE_AVERAGES = {
         "hybrid": 0.8888,
     },
 }
-
-
-@dataclass(frozen=True)
-class Metrics:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float
-    recall: float
-    f1: float
-    flags: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "flags": list(self.flags),
-        }
-
-
-def metrics(predicted, actual) -> Metrics:
-    """Precision, recall, F1 for binary labels; zero denominators give 0."""
-    predicted = np.asarray(predicted).astype(bool)
-    actual = np.asarray(actual).astype(bool)
-    if predicted.shape != actual.shape:
-        raise ValueError("predicted and actual label arrays differ in length")
-    tp = int(np.sum(predicted & actual))
-    fp = int(np.sum(predicted & ~actual))
-    fn = int(np.sum(~predicted & actual))
-    tn = int(np.sum(~predicted & ~actual))
-    flags = []
-    if tp + fp == 0:
-        precision = 0.0
-        flags.append("precision_undefined")
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall = 0.0
-        flags.append("recall_undefined")
-    else:
-        recall = tp / (tp + fn)
-    if 2 * tp + fp + fn == 0:
-        f1 = 0.0
-        flags.append("f1_undefined")
-    else:
-        f1 = 2 * tp / (2 * tp + fp + fn)
-    return Metrics(
-        tp=tp, fp=fp, fn=fn, tn=tn,
-        precision=precision, recall=recall, f1=f1, flags=tuple(flags),
-    )
 
 
 def kfold(

@@ -12,22 +12,19 @@ byte-identical files.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
-import math
-import types
-import typing
 import zipfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from . import HybridLinkerError
+from . import HybridLinkerError, _json
+from ._json import DecodeError
 from .config import Config
 from .corpus import Commit, Corpus, Issue
 from .linkgen import LinkCandidate
@@ -76,24 +73,69 @@ def fuse_arrays(
     return alpha * p_nontextual + (1.0 - alpha) * p_textual
 
 
-def f1_at_threshold(
-    fused: np.ndarray, labels: np.ndarray, threshold: float
-) -> float:
-    predicted = fused >= threshold
-    actual = np.asarray(labels) == 1
+@dataclass(frozen=True)
+class Metrics:
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+    precision: float
+    recall: float
+    f1: float
+    flags: tuple[str, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "tp": self.tp,
+            "fp": self.fp,
+            "fn": self.fn,
+            "tn": self.tn,
+            "precision": self.precision,
+            "recall": self.recall,
+            "f1": self.f1,
+            "flags": list(self.flags),
+        }
+
+
+def metrics(predicted, actual) -> Metrics:
+    """Precision, recall, F1 for binary labels; zero denominators give 0."""
+    predicted = np.asarray(predicted).astype(bool)
+    actual = np.asarray(actual).astype(bool)
+    if predicted.shape != actual.shape:
+        raise ValueError("predicted and actual label arrays differ in length")
     tp = int(np.sum(predicted & actual))
     fp = int(np.sum(predicted & ~actual))
     fn = int(np.sum(~predicted & actual))
+    tn = int(np.sum(~predicted & ~actual))
+    flags = []
+    if tp + fp == 0:
+        precision = 0.0
+        flags.append("precision_undefined")
+    else:
+        precision = tp / (tp + fp)
+    if tp + fn == 0:
+        recall = 0.0
+        flags.append("recall_undefined")
+    else:
+        recall = tp / (tp + fn)
     if 2 * tp + fp + fn == 0:
-        return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
+        f1 = 0.0
+        flags.append("f1_undefined")
+    else:
+        f1 = 2 * tp / (2 * tp + fp + fn)
+    return Metrics(
+        tp=tp, fp=fp, fn=fn, tn=tn,
+        precision=precision, recall=recall, f1=f1, flags=tuple(flags),
+    )
 
 
 def alpha_grid(step: float = DEFAULT_ALPHA_STEP) -> list[float]:
     if not 0.0 < step <= 1.0:
         raise HybridError(f"alpha step must lie in (0, 1], got {step!r}")
     count = int(round(1.0 / step))
-    return [round(i * step, 10) for i in range(count + 1)]
+    # Rounding 1 / step up would put the last point past 1.
+    grid = (round(i * step, 10) for i in range(count + 1))
+    return [alpha for alpha in grid if alpha <= 1.0]
 
 
 def tune_alpha(
@@ -115,7 +157,7 @@ def tune_alpha(
     best_distance = None
     for alpha in alpha_grid(step):
         fused = fuse_arrays(p_nontextual, p_textual, alpha)
-        score = f1_at_threshold(fused, labels, threshold)
+        score = metrics(fused >= threshold, labels).f1
         distance = abs(alpha - 0.5)
         if score > best_f1 or (score == best_f1 and distance < best_distance):
             best_alpha, best_f1, best_distance = alpha, score, distance
@@ -299,7 +341,6 @@ _FLAT_ARRAYS = {
     ),
 }
 
-_type_hints = functools.cache(typing.get_type_hints)
 # What reading a member of a corrupt, compressed or encrypted zip raises.
 _ZIP_ERRORS = (
     zipfile.BadZipFile,
@@ -309,16 +350,6 @@ _ZIP_ERRORS = (
     NotImplementedError,
     RuntimeError,
 )
-# The Python types json.loads returns for a value of each annotated type.
-_JSON_TYPES = {str: {str}, int: {int}, float: {int, float}, bool: {bool}}
-
-
-def _plain(values, hint) -> bool:
-    """Whether all values are JSON scalars of the annotated type; a float
-    must be finite, as json.loads also accepts NaN and Infinity."""
-    return set(map(type, values)) <= _JSON_TYPES.get(hint, set()) and (
-        hint is not float or all(map(math.isfinite, values))
-    )
 
 
 def _member(section: str, field: str) -> str:
@@ -391,16 +422,13 @@ def save_model(model: HybridModel, path: str | Path) -> None:
 class _BundleReader:
     """Checked reads from one open bundle.
 
-    Every failure raises HybridError("<bundle>: <where>: <problem>"), where
-    is a member name or a dotted manifest key such as textual.params.seed.
+    Every failure raises DecodeError(where, problem), where is a member name
+    or a dotted manifest key such as textual.params.seed; load_model adds the
+    bundle path.
     """
 
-    def __init__(self, path, bundle: zipfile.ZipFile):
-        self.path = path
+    def __init__(self, bundle: zipfile.ZipFile):
         self.bundle = bundle
-
-    def fail(self, where: str, problem: str) -> NoReturn:
-        raise HybridError(f"{self.path}: {where}: {problem}") from None
 
     @contextmanager
     def located(self, where: str):
@@ -408,15 +436,15 @@ class _BundleReader:
         try:
             yield
         except (LearnerError, ValueError) as exc:
-            self.fail(where, str(exc))
+            raise DecodeError(where, str(exc)) from None
 
     def read(self, member: str) -> bytes:
         try:
             return self.bundle.read(member)
         except KeyError:
-            self.fail(member, "missing")
+            raise DecodeError(member, "missing")
         except _ZIP_ERRORS as exc:
-            self.fail(member, f"unreadable: {exc}")
+            raise DecodeError(member, f"unreadable: {exc}")
 
     def array(self, section: str, field: str, dtype: str, shape=None) -> np.ndarray:
         member = _member(section, field)
@@ -425,68 +453,27 @@ class _BundleReader:
                 io.BytesIO(self.read(member)), allow_pickle=False
             )
         except ValueError as exc:
-            self.fail(member, f"unreadable .npy: {exc}")
+            raise DecodeError(member, f"unreadable .npy: {exc}")
         # Without a shape, any one-dimensional array will do.
         if array.dtype != np.dtype(dtype) or array.shape != (shape or (array.size,)):
-            self.fail(
+            raise DecodeError(
                 member,
                 f"expected {dtype} with shape {shape or '(n,)'}, "
                 f"got {array.dtype.str} with shape {array.shape}",
             )
         if array.dtype.kind == "f" and not np.isfinite(array).all():
-            self.fail(member, "holds values that are not finite")
+            raise DecodeError(member, "holds values that are not finite")
         return array
 
-    def get(self, section: dict, key: str, hint, where: str = ""):
-        path = f"{where}.{key}" if where else key
-        if key not in section:
-            self.fail(path, "missing")
-        return self.decode(section[key], hint, path)
-
-    def record(self, section: dict, cls, keys, where: str = "") -> dict:
-        """The given fields of cls, each checked against its annotation."""
-        hints = _type_hints(cls)
-        return {key: self.get(section, key, hints[key], where) for key in keys}
-
-    def decode(self, value, hint, where: str):
-        """A JSON value checked against a type annotation; JSON lists become
-        the tuple or frozenset the annotation names."""
-        origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
-        if origin is types.UnionType:  # every union here is X | None
-            return None if value is None else self.decode(value, args[0], where)
-        if _plain((value,), origin):
-            return value
-        if is_dataclass(origin) and isinstance(value, dict):
-            return self.record(value, origin, [f.name for f in fields(origin)], where)
-        if origin in (list, tuple, frozenset) and isinstance(value, list):
-            if origin is tuple and Ellipsis not in args and len(value) != len(args):
-                self.fail(where, f"expected {len(args)} items, got {len(value)}")
-            # Items are decoded one by one only when they are not all plain,
-            # which keeps long term lists cheap.
-            if not _plain(value, args[0]):
-                value = [
-                    self.decode(item, args[0], f"{where}[{i}]")
-                    for i, item in enumerate(value)
-                ]
-            return origin(value)
-        if origin is dict and isinstance(value, dict):
-            if args and not _plain(value.values(), args[1]):
-                value = {
-                    key: self.decode(item, args[1], f"{where}.{key}")
-                    for key, item in value.items()
-                }
-            return value
-        expected = hint.__name__ if isinstance(hint, type) else str(hint)
-        got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
-        self.fail(where, f"expected {expected}, got {got}")
-
     def vectorizer(self, name: str, meta: dict) -> TfidfModel:
-        terms = self.get(meta, "terms", list[str], name)
+        terms = _json.get(meta, "terms", list[str], name)
         term_index = {term: i for i, term in enumerate(terms)}
-        values = self.record(meta, TfidfModel, _VECTORIZER_META, name)
+        values = _json.record(meta, TfidfModel, _VECTORIZER_META, name)
         low, high = values["ngram_range"]
         if not 1 <= low <= high:
-            self.fail(f"{name}.ngram_range", f"[{low}, {high}] is not 1 <= low <= high")
+            raise DecodeError(
+                f"{name}.ngram_range", f"[{low}, {high}] is not 1 <= low <= high"
+            )
         return TfidfModel(
             term_index=term_index,
             idf=self.array(name, *_IDF, (len(term_index),)),
@@ -494,22 +481,25 @@ class _BundleReader:
         )
 
     def learner(self, name: str, meta: dict) -> TrainedLearner:
-        data = self.get(meta, "params", dict, name)
+        data = _json.get(meta, "params", dict, name)
+        # from_dict checks the types; a bundle must also hold every field.
+        for item in fields(LearnerParams):
+            if item.name not in data:
+                raise DecodeError(f"{name}.params.{item.name}", "missing")
         with self.located(name):
             params = LearnerParams.from_dict(data)
-        self.decode(data, LearnerParams, f"{name}.params")  # every field present
         model = TrainedLearner(
-            params=params, **self.record(meta, TrainedLearner, _LEARNER_META, name)
+            params=params, **_json.record(meta, TrainedLearner, _LEARNER_META, name)
         )
         model.variant = RETIRED_VARIANTS.get(model.variant, model.variant)
         if model.variant not in VARIANTS:
-            self.fail(f"{name}.variant", f"unknown variant {model.variant!r}")
+            raise DecodeError(f"{name}.variant", f"unknown variant {model.variant!r}")
         flat = _FLAT_ARRAYS.get(model.variant)
         names = [field for field, *_ in flat] if flat else [
             f"tree_{field}" for field, _ in _TREE_ARRAYS
         ]
-        if self.get(meta, "arrays", list[str], name) != names:
-            self.fail(f"{name}.arrays", f"a {model.variant} stores {names}")
+        if _json.get(meta, "arrays", list[str], name) != names:
+            raise DecodeError(f"{name}.arrays", f"a {model.variant} stores {names}")
         if flat:
             for field, dtype, shape in flat:
                 shape = tuple(model.width if n is None else n for n in shape)
@@ -537,7 +527,7 @@ class _BundleReader:
         """
 
         def fail(field: str, problem: str) -> NoReturn:
-            self.fail(_member(name, f"tree_{field}"), problem)
+            raise DecodeError(_member(name, f"tree_{field}"), problem)
 
         def check(field: str, broken: np.ndarray, problem: str) -> None:
             if broken.any():
@@ -569,6 +559,51 @@ class _BundleReader:
                 "neither -1 at a leaf nor a later node of the same tree",
             )
 
+    def model(self) -> HybridModel:
+        try:
+            manifest = json.loads(self.read(_MANIFEST))
+        except (ValueError, RecursionError) as exc:
+            raise DecodeError(_MANIFEST, f"invalid JSON: {exc}")
+        _json.decode(manifest, dict, _MANIFEST)
+        if manifest.get("format") != BUNDLE_FORMAT:
+            found = manifest.get("format")
+            raise DecodeError("format", f"unsupported bundle format {found!r}")
+        values = _json.record(manifest, HybridModel, _MODEL_META)
+        _json.decode(values["config"], Config, "config")
+        if not 0.0 <= values["alpha"] <= 1.0:
+            raise DecodeError("alpha", f"must lie in [0, 1], got {values['alpha']!r}")
+        values["vectorizers"] = TextualVectorizers(
+            **{
+                field: self.vectorizer(name, _json.get(manifest, name, dict))
+                for name, field in _VECTORIZERS
+            }
+        )
+        section = _json.get(manifest, "encoder", dict)
+        with self.located("encoder"):
+            values["encoder"] = TabularEncoder(
+                **_json.record(section, TabularEncoder, _ENCODER_KEYS, "encoder")
+            )
+        learners = [
+            (name, self.learner(name, meta))
+            for name, meta in _learners(
+                _json.get(manifest, "textual", dict),
+                _json.get(manifest, "nontextual_members", list[dict]),
+            )
+        ]
+        widths = [values["vectorizers"].width]
+        widths += [values["encoder"].width] * (len(learners) - 1)
+        for (name, learner), width in zip(learners, widths):
+            if learner.width != width:
+                raise DecodeError(
+                    f"{name}.width", f"{learner.width}, but the features are {width}"
+                )
+        values["textual"], *members = (learner for _, learner in learners)
+        with self.located("nontextual_kind"):
+            values["nontextual"] = SoftVoteEnsemble(
+                _json.get(manifest, "nontextual_kind", str), tuple(members)
+            )
+        return HybridModel(**values)
+
 
 def load_model(path: str | Path) -> HybridModel:
     """Read a model bundle written by save_model, checking all of it.
@@ -581,48 +616,8 @@ def load_model(path: str | Path) -> HybridModel:
         bundle = zipfile.ZipFile(path, "r")
     except (OSError, zipfile.BadZipFile) as exc:
         raise HybridError(f"cannot open model bundle {path}: {exc}") from None
-    with bundle:
-        reader = _BundleReader(path, bundle)
-        try:
-            manifest = json.loads(reader.read(_MANIFEST))
-        except ValueError as exc:
-            reader.fail(_MANIFEST, f"invalid JSON: {exc}")
-        reader.decode(manifest, dict, _MANIFEST)
-        if manifest.get("format") != BUNDLE_FORMAT:
-            found = manifest.get("format")
-            reader.fail("format", f"unsupported bundle format {found!r}")
-        values = reader.record(manifest, HybridModel, _MODEL_META)
-        reader.decode(values["config"], Config, "config")
-        if not 0.0 <= values["alpha"] <= 1.0:
-            reader.fail("alpha", f"must lie in [0, 1], got {values['alpha']!r}")
-        values["vectorizers"] = TextualVectorizers(
-            **{
-                field: reader.vectorizer(name, reader.get(manifest, name, dict))
-                for name, field in _VECTORIZERS
-            }
-        )
-        section = reader.get(manifest, "encoder", dict)
-        with reader.located("encoder"):
-            values["encoder"] = TabularEncoder(
-                **reader.record(section, TabularEncoder, _ENCODER_KEYS, "encoder")
-            )
-        learners = [
-            (name, reader.learner(name, meta))
-            for name, meta in _learners(
-                reader.get(manifest, "textual", dict),
-                reader.get(manifest, "nontextual_members", list[dict]),
-            )
-        ]
-        widths = [values["vectorizers"].width]
-        widths += [values["encoder"].width] * (len(learners) - 1)
-        for (name, learner), width in zip(learners, widths):
-            if learner.width != width:
-                reader.fail(
-                    f"{name}.width", f"{learner.width}, but the features are {width}"
-                )
-        values["textual"], *members = (learner for _, learner in learners)
-        with reader.located("nontextual_kind"):
-            values["nontextual"] = SoftVoteEnsemble(
-                reader.get(manifest, "nontextual_kind", str), tuple(members)
-            )
-    return HybridModel(**values)
+    try:
+        with bundle:
+            return _BundleReader(bundle).model()
+    except DecodeError as exc:
+        raise HybridError(f"{path}: {exc.where}: {exc.problem}") from None

@@ -10,13 +10,12 @@ feature matrices and binary 0/1 labels and emit a probability for class 1.
 from __future__ import annotations
 
 import math
-import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import HybridLinkerError
+from . import HybridLinkerError, _json
 from ._tree import ColumnIndex, GrowSpec, Tree, grow_tree
 
 VARIANTS = (
@@ -87,28 +86,21 @@ class LearnerParams:
     def from_dict(cls, data, base: LearnerParams | None = None) -> LearnerParams:
         """Inverse of to_dict; keys missing from data keep base's values.
 
-        Unknown keys and wrongly typed values raise LearnerError naming the
-        key. The retired variant name sgd_classifier, which ran the same SGD
-        path, loads as logistic_regression.
+        Unknown keys and values that do not fit their annotation raise
+        LearnerError naming the key. The retired variant name sgd_classifier,
+        which ran the same SGD path, loads as logistic_regression.
         """
         if not isinstance(data, dict):
             raise LearnerError(
                 f"learner parameters must be an object, got {type(data).__name__}"
             )
-        hints = typing.get_type_hints(cls)
-        declared = {item.name: item.type for item in fields(cls)}
-        for key, value in data.items():
-            if key not in declared:
+        for key in data:
+            if key not in _json.type_hints(cls):
                 raise LearnerError(f"unknown learner parameter {key!r}")
-            allowed = typing.get_args(hints[key]) or (hints[key],)
-            if float in allowed:
-                allowed += (int,)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise LearnerError(
-                    f"learner parameter {key!r} must be {declared[key]}, "
-                    f"got {value!r}"
-                )
-        values = dict(data)
+        try:
+            values = _json.record(data, cls, data)
+        except _json.DecodeError as exc:
+            raise LearnerError(str(exc)) from None
         if values.get("variant") in RETIRED_VARIANTS:
             values["variant"] = RETIRED_VARIANTS[values["variant"]]
         if base is not None:
@@ -422,8 +414,6 @@ def train_ensemble(
     for variant in ENSEMBLE_KINDS[kind]:
         if params_by_variant and variant in params_by_variant:
             params = params_by_variant[variant]
-            if params.variant != variant:
-                params = replace(params, variant=variant)
         else:
             params = LearnerParams(variant=variant, seed=seed)
         members.append(train(params, X, y))

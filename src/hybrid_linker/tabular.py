@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import HybridLinkerError
-from .corpus import SECONDS_PER_DAY, Corpus, Issue
+from .corpus import SECONDS_PER_DAY, Corpus, Issue, _locate_decode_error
 from .linkgen import LinkCandidate
 
 STATUS_CLASSES = ("open", "closed", "resolved")
@@ -51,7 +51,10 @@ def load_category_maps(
         ).read_text(encoding="utf-8")
         source = "<packaged category_map.tsv>"
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise CategoryMapError(_locate_decode_error(path)) from None
         source = str(path)
     status_map: dict[str, str] = {}
     type_map: dict[str, str] = {}

@@ -14,8 +14,8 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from . import porter
-from .corpus import Issue, Commit
+from . import HybridLinkerError, porter
+from .corpus import Commit, Issue, _locate_decode_error
 
 _SPLIT_PATTERN = re.compile(r"[^a-z0-9]+")
 
@@ -46,7 +46,10 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword list; None loads the list shipped with the package."""
     if path is None:
         return _default_stopwords()
-    return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
+    try:
+        return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise HybridLinkerError(_locate_decode_error(path)) from None
 
 
 def _parse_stopwords(text: str) -> frozenset[str]:

@@ -26,9 +26,9 @@ from hybrid_linker.evaluation import (
     render_report,
 )
 from hybrid_linker.hybrid import (
-    f1_at_threshold,
     fuse_arrays,
     load_model,
+    metrics,
     predict_pairs,
     save_model,
     train_hybrid,
@@ -381,14 +381,14 @@ def test_fusion_and_alpha_tuning(capsys):
             _, tuned_f1 = tune_alpha(p_nt, p_t, labels)
             for endpoint in (0.0, 1.0):
                 fused = fuse_arrays(p_nt, p_t, endpoint)
-                assert tuned_f1 >= f1_at_threshold(fused, labels, 0.5)
+                assert tuned_f1 >= metrics(fused >= 0.5, labels).f1
 
         # Complementary channels: each alone misses half the positives.
         p_nt = np.array([0.9] * 20 + [0.3] * 20 + [0.1] * 40)
         p_t = np.array([0.3] * 20 + [0.9] * 20 + [0.1] * 40)
         labels = np.array([1.0] * 40 + [0.0] * 40)
         for channel in (p_nt, p_t):
-            alone = f1_at_threshold(channel, labels, 0.5)
+            alone = metrics(channel >= 0.5, labels).f1
             assert alone <= 0.7
         _, tuned_f1 = tune_alpha(p_nt, p_t, labels)
         assert tuned_f1 >= 0.8

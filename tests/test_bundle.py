@@ -307,3 +307,10 @@ def test_mismatched_or_invalid_values_fail_located(bundles, capsys):
          ["vec_issue.ngram_range"]),
     ]
     assert _problems(bundles, capsys, cases) == []
+
+
+def test_deeply_nested_manifest_fails_located(bundles, capsys):
+    files = _files(bundles[2]["gradient_boosting"])
+    deep = ("[" * 100_000 + "]" * 100_000).encode("utf-8")
+    cases = [("nested manifest", {**files, "manifest.json": deep}, ["manifest.json"])]
+    assert _problems(bundles, capsys, cases) == []

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import typing
 import zipfile
 
 import pytest
 
 from hybrid_linker.cli import main
+from hybrid_linker.config import Config
 
 FAST_LEARNERS = {
     "textual": {
@@ -283,6 +285,85 @@ def test_malformed_learner_section_exits_one(workspace, capsys, config, section)
     )
     assert code == 1
     assert f"error: {section}:" in err
+
+
+# Values of the wrong JSON type for each annotated type: a string, true for a
+# number, a fraction for an integer, NaN and the infinities for a float, a list.
+WRONG_VALUES = {
+    int: ["7", True, 2.5, float("nan"), [7]],
+    float: ["0.5", True, float("nan"), float("inf"), float("-inf"), [0.5]],
+    bool: ["no", 1, [True]],
+    str: [5, True, ["validation"]],
+}
+
+
+def _wrongly_typed_fields():
+    for key, hint in typing.get_type_hints(Config).items():
+        if key in ("textual", "nontextual"):
+            continue
+        base = (typing.get_args(hint) or (hint,))[0]  # X of X | None
+        for value in WRONG_VALUES[base]:
+            yield key, value
+
+
+@pytest.mark.parametrize("key, value", list(_wrongly_typed_fields()))
+def test_wrongly_typed_config_field_exits_one_naming_it(
+    workspace, capsys, key, value
+):
+    config_path = workspace / "bad.json"
+    config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+    code, _, err = _run(
+        capsys, "train", "--config", config_path, "--corpus", workspace / "nowhere",
+        "--candidates", workspace / "nowhere.tsv", "--out", workspace / "m.hlb",
+    )
+    assert code == 1
+    assert f"error: {key}:" in err
+
+
+@pytest.mark.parametrize("kind", ["config", "stopwords", "category_map"])
+def test_bad_utf8_config_inputs_exit_one_naming_the_line(workspace, capsys, kind):
+    corpus = workspace / "corpus"
+    _run(capsys, "synth", "--seed", 4, "--issues", 20, "--commits", 20,
+         "--out", corpus)
+    cands = workspace / "cands.tsv"
+    _run(capsys, "gen-links", "--corpus", corpus, "--seed", 4, "--out", cands)
+    bad = workspace / "bad.txt"
+    bad.write_bytes(b"# first line\nfix\tbug\xff\n")
+    config = {"k": 3, **FAST_LEARNERS}
+    if kind != "config":
+        config[f"{kind}_path"] = str(bad)
+    config_path = workspace / "bad.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    if kind == "config":
+        config_path = bad
+    code, _, err = _run(
+        capsys, "train", "--config", config_path, "--corpus", corpus,
+        "--candidates", cands, "--out", workspace / "m.hlb",
+    )
+    assert code == 1
+    assert f"error: {bad}:2: invalid UTF-8 at byte offset 20" in err
+
+
+def test_deeply_nested_json_exits_one_naming_the_file(workspace, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    config_path = workspace / "deep.json"
+    config_path.write_text(deep, encoding="utf-8")
+    code, _, err = _run(
+        capsys, "gen-links", "--config", config_path,
+        "--corpus", workspace / "nowhere", "--out", workspace / "x.tsv",
+    )
+    assert code == 1
+    assert f"error: {config_path}: invalid JSON" in err
+    corpus = workspace / "corpus"
+    _run(capsys, "synth", "--seed", 4, "--issues", 20, "--commits", 20,
+         "--out", corpus)
+    with open(corpus / "commits.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(deep + "\n")
+    code, _, err = _run(
+        capsys, "gen-links", "--corpus", corpus, "--out", workspace / "x.tsv"
+    )
+    assert code == 1
+    assert f"error: {corpus / 'commits.jsonl'}:21: invalid JSON" in err
 
 
 def test_bad_arguments_exit_two(workspace, capsys):

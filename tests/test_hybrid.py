@@ -8,9 +8,9 @@ from hybrid_linker.corpus import SignalParams, synthesize_corpus
 from hybrid_linker.hybrid import (
     HybridError,
     alpha_grid,
-    f1_at_threshold,
     fuse_arrays,
     load_model,
+    metrics,
     predict,
     predict_pairs,
     save_model,
@@ -87,11 +87,18 @@ def test_alpha_grid_is_21_points():
     assert np.allclose(steps, 0.05, atol=1e-12)
 
 
+@pytest.mark.parametrize("step", [0.34375, 0.6, 0.15])
+def test_alpha_grid_stays_in_unit_interval(step):
+    grid = alpha_grid(step)
+    assert grid[0] == 0.0 and max(grid) <= 1.0
+    assert np.allclose(np.diff(grid), step)
+
+
 def test_f1_at_threshold():
     fused = np.array([0.9, 0.4, 0.6, 0.2])
     labels = np.array([1, 1, 0, 0])
     # Predictions: 1, 0, 1, 0 -> tp=1 fp=1 fn=1.
-    assert f1_at_threshold(fused, labels, 0.5) == pytest.approx(0.5)
+    assert metrics(fused >= 0.5, labels).f1 == pytest.approx(0.5)
 
 
 def test_tune_alpha_dominates_endpoints():
@@ -102,8 +109,8 @@ def test_tune_alpha_dominates_endpoints():
         p_nt = np.clip(labels * 0.6 + rng.random(n) * 0.5, 0, 1)
         p_t = np.clip(labels * 0.3 + rng.random(n) * 0.6, 0, 1)
         alpha, best = tune_alpha(p_nt, p_t, labels)
-        assert best >= f1_at_threshold(p_t, labels, 0.5) - 1e-12
-        assert best >= f1_at_threshold(p_nt, labels, 0.5) - 1e-12
+        assert best >= metrics(p_t >= 0.5, labels).f1 - 1e-12
+        assert best >= metrics(p_nt >= 0.5, labels).f1 - 1e-12
         assert alpha in alpha_grid()
 
 
@@ -132,8 +139,8 @@ def test_tune_alpha_complementary_channels():
     p_nt = np.array([0.9] * n_pos + [0.1] * n_pos + [0.3] * n_neg)
     p_t = np.array([0.1] * n_pos + [0.9] * n_pos + [0.3] * n_neg)
     labels = np.array([1] * (2 * n_pos) + [0] * n_neg)
-    assert f1_at_threshold(p_nt, labels, 0.5) <= 0.7
-    assert f1_at_threshold(p_t, labels, 0.5) <= 0.7
+    assert metrics(p_nt >= 0.5, labels).f1 <= 0.7
+    assert metrics(p_t >= 0.5, labels).f1 <= 0.7
     alpha, best = tune_alpha(p_nt, p_t, labels)
     assert best >= 0.8
 
