@@ -13,6 +13,10 @@ The sorted nonzero triplets (column, value, row) are computed once per fit
 and partitioned stably per node; implicit zeros enter each column's scan as
 one pseudo-element carrying the aggregated stats of the node rows that have
 no entry in that column, inserted at the sorted position of value 0.
+
+A Tree is a packed forest: the node arrays of its trees laid end to end, in
+the layout a model bundle stores. Prediction densifies each chunk of rows
+once and walks every tree of the forest at once.
 """
 
 from __future__ import annotations
@@ -34,48 +38,102 @@ class GrowSpec:
     n_sub_features: int | None = None  # per-node feature sample; None = all
 
 
+# Each array of a packed forest with its dtype; model bundles store them as is.
+TREE_ARRAYS = (
+    ("sizes", "<i4"),
+    ("feature", "<i4"),
+    ("threshold", "<f8"),
+    ("left", "<i4"),
+    ("right", "<i4"),
+    ("value", "<f8"),
+)
+
+# Rows per prediction chunk are capped twice: the dense copy of the chunk
+# holds at most _DENSE_ENTRIES values, and the walk state (one node per tree
+# and row) at most _WALK_ENTRIES, so that scoring a large batch through a
+# learner of hundreds of trees does not raise peak memory.
+_DENSE_ENTRIES = 4_000_000
+_WALK_ENTRIES = 1 << 16
+
+
 @dataclass
 class Tree:
-    """Flat array tree; feature -1 marks a leaf."""
+    """Flat-array trees packed end to end; feature -1 marks a leaf.
 
+    sizes[t] is the node count of tree t. The node arrays are concatenated
+    over the trees in order, and left/right index nodes within their own
+    tree. len() counts trees.
+    """
+
+    sizes: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.sizes)
+
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
     def predict(self, X) -> np.ndarray:
-        """Leaf value per row; accepts dense or CSR input."""
-        if sp.issparse(X):
-            X = X.tocsr()
-            n = X.shape[0]
-            out = np.empty(n, dtype=np.float64)
-            # Densify in bounded chunks; route each chunk vectorized.
-            chunk = max(1, 4_000_000 // max(1, X.shape[1]))
-            for start in range(0, n, chunk):
-                block = X[start : start + chunk].toarray()
-                out[start : start + len(block)] = self._predict_dense(block)
-            return out
-        return self._predict_dense(np.asarray(X, dtype=np.float64))
+        """Leaf value of every tree for every row, shape (n_trees, n_rows).
 
-    def _predict_dense(self, X: np.ndarray) -> np.ndarray:
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        n = X.shape[0]
-        nodes = np.zeros(n, dtype=np.int64)
-        active = self.feature[nodes] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            current = nodes[idx]
-            feat = self.feature[current]
-            go_left = X[idx, feat] <= self.threshold[current]
-            nodes[idx] = np.where(go_left, self.left[current], self.right[current])
-            active[idx] = self.feature[nodes[idx]] >= 0
-        return self.value[nodes]
+        Accepts dense or CSR input, or one dense row. Each chunk of rows is
+        densified once and every tree walks it at the same time.
+        """
+        sparse = sp.issparse(X)
+        if sparse:
+            X = X.tocsr()
+        else:
+            X = np.asarray(X, dtype=np.float64)
+            if X.ndim == 1:
+                X = X.reshape(1, -1)
+        n_rows, width = X.shape
+        n_trees = len(self)
+        out = np.empty((n_trees, n_rows), dtype=np.float64)
+        roots = np.cumsum(self.sizes, dtype=np.int64) - self.sizes
+        # Children as indices into the packed arrays.
+        base = np.repeat(roots, self.sizes)
+        left = self.left + base
+        right = self.right + base
+        chunk = max(
+            1, min(_DENSE_ENTRIES // max(1, width), _WALK_ENTRIES // max(1, n_trees))
+        )
+        for start in range(0, n_rows, chunk):
+            block = X[start : start + chunk]
+            if sparse:
+                block = block.toarray()
+            rows = len(block)
+            # Tree-major: entry t * rows + r walks row r down tree t.
+            nodes = np.repeat(roots, rows)
+            walking = np.flatnonzero(self.feature[nodes] >= 0)
+            while walking.size:
+                current = nodes[walking]
+                go_left = (
+                    block[walking % rows, self.feature[current]]
+                    <= self.threshold[current]
+                )
+                step = np.where(go_left, left[current], right[current])
+                nodes[walking] = step
+                walking = walking[self.feature[step] >= 0]
+            out[:, start : start + rows] = self.value[nodes].reshape(n_trees, rows)
+        return out
+
+
+def pack(trees) -> Tree:
+    """One Tree holding the given trees in order; no trees gives an empty one."""
+    return Tree(
+        **{
+            name: np.concatenate(
+                [np.empty(0, dtype), *(getattr(tree, name) for tree in trees)]
+            )
+            for name, dtype in TREE_ARRAYS
+        }
+    )
 
 
 class ColumnIndex:
@@ -220,7 +278,7 @@ def grow_tree(
     leaf_den: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ):
-    """Grow one tree; returns (Tree, per-training-row leaf values).
+    """Grow one tree; returns (one-tree Tree, per-training-row leaf values).
 
     a, b, w index by global row id. leaf_den, when given, supplies the leaf
     value denominator (second-order sums for the boosting Newton step);
@@ -285,6 +343,7 @@ def grow_tree(
 
     build(np.asarray(rows0, dtype=np.int64), elems0, 0)
     tree = Tree(
+        sizes=np.array([len(feature)], dtype=np.int32),
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.int32),

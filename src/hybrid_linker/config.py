@@ -81,31 +81,31 @@ class Config:
 
     def __post_init__(self) -> None:
         if self.k < 2:
-            raise ConfigError("k must be at least 2")
+            raise ConfigError("k: must be at least 2")
         if self.tune_on not in ("validation", "test"):
-            raise ConfigError("tune_on must be 'validation' or 'test'")
+            raise ConfigError("tune_on: must be 'validation' or 'test'")
         if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie strictly between 0 and 1")
+            raise ConfigError("threshold: must lie strictly between 0 and 1")
         # The alpha grid has 1 / alpha_step + 1 points.
         if not 0.001 <= self.alpha_step <= 1.0:
-            raise ConfigError("alpha_step must lie in [0.001, 1]")
+            raise ConfigError("alpha_step: must lie in [0.001, 1]")
         if self.window_days is not None and self.window_days < 0:
-            raise ConfigError("window_days must be non-negative or null")
+            raise ConfigError("window_days: must be non-negative or null")
         for name in ("seed", "balance_seed", "split_seed", "fold_seed"):
             value = getattr(self, name)
             if value is not None and value < 0:
-                raise ConfigError(f"{name} must be non-negative")
+                raise ConfigError(f"{name}: must be non-negative")
         if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
+            raise ConfigError("jobs: must be at least 1")
         if self.identity_top_k < 1:
-            raise ConfigError("identity_top_k must be at least 1")
+            raise ConfigError("identity_top_k: must be at least 1")
         if not 0.0 <= self.missing_threshold <= 1.0:
-            raise ConfigError("missing_threshold must lie in [0, 1]")
+            raise ConfigError("missing_threshold: must lie in [0, 1]")
         if self.max_features < 1:
-            raise ConfigError("max_features must be positive")
+            raise ConfigError("max_features: must be positive")
         if self.nontextual_kind not in ENSEMBLE_KINDS:
             raise ConfigError(
-                f"nontextual_kind must be one of {sorted(ENSEMBLE_KINDS)}"
+                f"nontextual_kind: must be one of {sorted(ENSEMBLE_KINDS)}"
             )
         for key, params in self.nontextual.items():
             if params.variant != key:

@@ -39,7 +39,7 @@ from .learn import (
     train,
     train_ensemble,
 )
-from ._tree import Tree
+from ._tree import TREE_ARRAYS, Tree
 from .tabular import TabularEncoder, featurize_pairs_tabular, fit_encoder
 from .tfidf import (
     TextualVectorizers,
@@ -321,16 +321,8 @@ _LEARNER_META = (
     "tree_scales",
     "train_losses",
 )
-# A tree ensemble stores tree_sizes and each Tree field concatenated over
-# its trees, as arrays/<learner>.tree_<field>.npy.
-_TREE_ARRAYS = (
-    ("sizes", "<i4"),
-    ("feature", "<i4"),
-    ("threshold", "<f8"),
-    ("left", "<i4"),
-    ("right", "<i4"),
-    ("value", "<f8"),
-)
+# A tree learner stores each array of its packed Tree as
+# arrays/<learner>.tree_<field>.npy.
 # The arrays of every other variant, with their shapes; None is the width.
 _FLAT_ARRAYS = {
     "logistic_regression": (("weights", "<f8", (None,)),),
@@ -378,11 +370,9 @@ def _learner_payload(name: str, model: TrainedLearner):
             for field, dtype, _ in _FLAT_ARRAYS[model.variant]
         ]
     else:
-        nodes = {"sizes": [tree.n_nodes for tree in model.trees]}
-        for field, _ in _TREE_ARRAYS[1:]:
-            nodes[field] = np.concatenate([getattr(t, field) for t in model.trees])
         layout = [
-            (f"tree_{field}", dtype, nodes[field]) for field, dtype in _TREE_ARRAYS
+            (f"tree_{field}", dtype, getattr(model.trees, field))
+            for field, dtype in TREE_ARRAYS
         ]
     meta["arrays"] = [field for field, _, _ in layout]
     arrays = {
@@ -496,7 +486,7 @@ class _BundleReader:
             raise DecodeError(f"{name}.variant", f"unknown variant {model.variant!r}")
         flat = _FLAT_ARRAYS.get(model.variant)
         names = [field for field, *_ in flat] if flat else [
-            f"tree_{field}" for field, _ in _TREE_ARRAYS
+            f"tree_{field}" for field, _ in TREE_ARRAYS
         ]
         if _json.get(meta, "arrays", list[str], name) != names:
             raise DecodeError(f"{name}.arrays", f"a {model.variant} stores {names}")
@@ -505,21 +495,18 @@ class _BundleReader:
                 shape = tuple(model.width if n is None else n for n in shape)
                 setattr(model, field, self.array(name, field, dtype, shape))
             return model
-        nodes = {
-            field: self.array(name, f"tree_{field}", dtype)
-            for field, dtype in _TREE_ARRAYS
-        }
-        sizes = nodes.pop("sizes")
-        self.check_trees(name, model, sizes, nodes)
-        ends = np.cumsum(sizes).tolist()
-        model.trees = tuple(
-            Tree(**{field: column[start:end] for field, column in nodes.items()})
-            for start, end in zip([0] + ends[:-1], ends)
+        trees = Tree(
+            **{
+                field: self.array(name, f"tree_{field}", dtype)
+                for field, dtype in TREE_ARRAYS
+            }
         )
+        self.check_trees(name, model, trees)
+        model.trees = trees
         return model
 
-    def check_trees(self, name, model, sizes, nodes) -> None:
-        """Check a learner's concatenated trees in one vectorized pass.
+    def check_trees(self, name, model, trees: Tree) -> None:
+        """Check a learner's packed trees in one vectorized pass.
 
         Children must point forward inside their own tree and a leaf is
         feature -1 with children -1, so every walk from a root ends at a leaf
@@ -533,18 +520,20 @@ class _BundleReader:
             if broken.any():
                 fail(field, f"position {int(np.argmax(broken))}: {problem}")
 
+        sizes = trees.sizes
         # predict_proba zips trees with tree_scales and would drop extras.
         scales = len(model.tree_scales)
         if not 0 < len(sizes) == scales:
             fail("sizes", f"{len(sizes)} trees, but {scales} tree scales")
         check("sizes", sizes < 1, "a tree needs at least one node")
         total = int(sizes.sum())
-        for field, column in nodes.items():
+        for field, _ in TREE_ARRAYS[1:]:
+            column = getattr(trees, field)
             if len(column) != total:
                 fail(field, f"{len(column)} nodes, but the tree sizes sum to {total}")
         size = np.repeat(sizes, sizes)
         local = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        feature = nodes["feature"]
+        feature = trees.feature
         leaf = feature == -1
         check(
             "feature",
@@ -552,7 +541,7 @@ class _BundleReader:
             f"neither -1 (a leaf) nor a feature in [0, {model.width})",
         )
         for field in ("left", "right"):
-            child = nodes[field]
+            child = getattr(trees, field)
             check(
                 field,
                 np.where(leaf, child != -1, (child <= local) | (child >= size)),

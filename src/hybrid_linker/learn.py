@@ -10,13 +10,14 @@ feature matrices and binary 0/1 labels and emit a probability for class 1.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import HybridLinkerError, _json
-from ._tree import ColumnIndex, GrowSpec, Tree, grow_tree
+from ._tree import ColumnIndex, GrowSpec, Tree, grow_tree, pack
 
 VARIANTS = (
     "decision_tree",
@@ -73,6 +74,8 @@ class LearnerParams:
             raise LearnerError("reg_lambda must be non-negative")
         if self.epochs < 1:
             raise LearnerError("epochs must be at least 1")
+        if self.seed < 0:
+            raise LearnerError("seed must be non-negative")
 
     @property
     def n_stages(self) -> int:
@@ -115,7 +118,8 @@ class TrainedLearner:
     variant: str
     params: LearnerParams
     width: int
-    trees: tuple[Tree, ...] = ()
+    # Every tree of a tree learner, packed; empty for the other variants.
+    trees: Tree = field(default_factory=partial(pack, ()))
     tree_scales: tuple[float, ...] = ()
     base_score: float = 0.0
     weights: np.ndarray | None = None
@@ -171,7 +175,7 @@ def _train_decision_tree(params: LearnerParams, X, y) -> TrainedLearner:
     tree, _ = grow_tree(index, np.arange(n), y * ones, ones, ones, spec)
     return TrainedLearner(
         variant=params.variant, params=params, width=Xc.shape[1],
-        trees=(tree,), tree_scales=(1.0,),
+        trees=tree, tree_scales=(1.0,),
     )
 
 
@@ -199,7 +203,7 @@ def _train_random_forest(params: LearnerParams, X, y) -> TrainedLearner:
         trees.append(tree)
     return TrainedLearner(
         variant=params.variant, params=params, width=width,
-        trees=tuple(trees), tree_scales=(1.0,) * len(trees),
+        trees=pack(trees), tree_scales=(1.0,) * len(trees),
     )
 
 
@@ -244,7 +248,7 @@ def _train_boosting(params: LearnerParams, X, y) -> TrainedLearner:
             break
     return TrainedLearner(
         variant=params.variant, params=params, width=width,
-        trees=tuple(trees), tree_scales=tuple(scales), base_score=base,
+        trees=pack(trees), tree_scales=tuple(scales), base_score=base,
         train_losses=tuple(losses),
     )
 
@@ -351,12 +355,12 @@ def predict_proba(model, X) -> np.ndarray:
             f"feature width {X.shape[1]} does not match model width {model.width}"
         )
     if model.variant in ("decision_tree", "random_forest"):
-        per_tree = np.stack([tree.predict(X) for tree in model.trees])
-        return per_tree.mean(axis=0)
+        return model.trees.predict(X).mean(axis=0)
     if model.variant in ("gradient_boosting", "regularized_gradient_boosting"):
         scores = np.full(X.shape[0], model.base_score, dtype=np.float64)
-        for tree, scale in zip(model.trees, model.tree_scales):
-            scores += scale * tree.predict(X)
+        # Added one tree at a time in tree order; float sums depend on order.
+        for leaves, scale in zip(model.trees.predict(X), model.tree_scales):
+            scores += scale * leaves
         return np.asarray(sigmoid(scores))
     if model.variant == "logistic_regression":
         Xc = _as_csr(X)

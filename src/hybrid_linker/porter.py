@@ -7,6 +7,8 @@ are returned unchanged. Digits are treated as consonants, so tokens like
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -157,6 +159,9 @@ def _step5b(word: str) -> str:
     return word
 
 
+# A corpus repeats a small vocabulary many times over; the bound keeps a
+# stream of distinct words from growing the memo without limit.
+@lru_cache(maxsize=1 << 16)
 def stem(word: str) -> str:
     """Return the Porter stem of a lowercase word."""
     if len(word) <= 2:

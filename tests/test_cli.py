@@ -130,6 +130,22 @@ def test_predict_batch_writes_tsv(workspace, capsys):
         assert label in ("0", "1")
 
 
+def test_predict_batch_of_no_pairs_writes_only_the_header(workspace, capsys):
+    corpus, _, model = _pipeline(workspace, capsys)
+    pairs_path = workspace / "pairs.tsv"
+    pairs_path.write_text("issue_id\tcommit_hash\n", encoding="utf-8")
+    out_path = workspace / "scored.tsv"
+    code, out, _ = _run(
+        capsys, "predict-batch", "--model", model, "--corpus", corpus,
+        "--pairs", pairs_path, "--out", out_path,
+    )
+    assert code == 0
+    assert out_path.read_text(encoding="utf-8") == (
+        "issue_id\tcommit_hash\tprobability\tlabel\n"
+    )
+    assert f"scored 0 pairs -> {out_path}" in out
+
+
 def test_evaluate_is_byte_identical_across_runs(workspace, capsys):
     corpus, cands, _ = _pipeline(workspace, capsys)
     report_a = workspace / "report-a.json"
@@ -318,6 +334,37 @@ def test_wrongly_typed_config_field_exits_one_naming_it(
     )
     assert code == 1
     assert f"error: {key}:" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k", 1),
+        ("tune_on", "train"),
+        ("threshold", 1.5),
+        ("threshold", 0.0),
+        ("alpha_step", 0.0005),
+        ("window_days", -1),
+        ("seed", -1),
+        ("balance_seed", -1),
+        ("split_seed", -1),
+        ("fold_seed", -1),
+        ("jobs", 0),
+        ("identity_top_k", 0),
+        ("missing_threshold", 1.5),
+        ("max_features", 0),
+        ("nontextual_kind", "RF+SVM"),
+    ],
+)
+def test_out_of_range_config_field_exits_one_naming_it(workspace, capsys, key, value):
+    config_path = workspace / "bad.json"
+    config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+    code, _, err = _run(
+        capsys, "train", "--config", config_path, "--corpus", workspace / "nowhere",
+        "--candidates", workspace / "nowhere.tsv", "--out", workspace / "m.hlb",
+    )
+    assert code == 1
+    assert f"error: {key}: must" in err
 
 
 @pytest.mark.parametrize("kind", ["config", "stopwords", "category_map"])

@@ -59,7 +59,7 @@ def test_nontextual_variant_must_match_its_key():
 def test_values_training_cannot_use_are_rejected(data, key):
     # A negative seed fails in numpy's generators; a tiny alpha step asks for
     # an alpha grid too long to build.
-    with pytest.raises(ConfigError, match=f"^{key} must"):
+    with pytest.raises(ConfigError, match=f"^{key}: must"):
         config_from_dict(data)
 
 

@@ -203,3 +203,8 @@ def test_params_stage_count_prefers_n_estimators():
     assert params.n_stages == 25
     fallback = LearnerParams(variant="gradient_boosting", n_trees=60)
     assert fallback.n_stages == 60
+
+
+def test_negative_seed_is_rejected_by_name():
+    with pytest.raises(LearnerError, match="^seed must be non-negative"):
+        LearnerParams(variant="random_forest", seed=-1, n_trees=2)

@@ -83,6 +83,12 @@ def test_porter_frozen_table():
     assert mismatches == []
 
 
+def test_porter_memo_returns_what_the_stemmer_computes():
+    words = [word for word, _ in PORTER_TABLE]
+    for _ in range(2):  # the second round is answered from the memo
+        assert [stem(word) for word in words] == [stem.__wrapped__(w) for w in words]
+
+
 def test_porter_leaves_short_words_alone():
     for word in ("a", "is", "ti", "x9"):
         assert stem(word) == word
