@@ -10,9 +10,12 @@ second-order boosting gain (A = gradient sum, B = hessian sum) the same
 computation, so the scan, tie-breaking, and threshold rules live here once.
 
 The sorted nonzero triplets (column, value, row) are computed once per fit
-and partitioned stably per node; implicit zeros enter each column's scan as
-one pseudo-element carrying the aggregated stats of the node rows that have
-no entry in that column, inserted at the sorted position of value 0.
+and partitioned stably per node. A tree stacks its per-row statistics (a, b
+and w, or a and w when b is w) into one matrix, and each node scans all its
+columns in one pass over that matrix: implicit zeros enter each column's
+scan as one pseudo-element carrying the aggregated stats of the node rows
+that have no entry in that column, scattered at the sorted position of
+value 0 into a stacked extended buffer.
 
 A Tree is a packed forest: the node arrays of its trees laid end to end, in
 the layout a model bundle stores. Prediction densifies each chunk of rows
@@ -153,111 +156,99 @@ class ColumnIndex:
 
 def _best_split(
     index: ColumnIndex,
-    elems: np.ndarray,
-    node_a: float,
-    node_b: float,
-    node_w: float,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    stats_nz: np.ndarray,
+    node_sums: np.ndarray,
     spec: GrowSpec,
-    a: np.ndarray,
-    b: np.ndarray,
-    w: np.ndarray,
     rng: np.random.Generator | None,
 ):
-    """Return (feature, threshold) of the best boundary or None.
+    """Return (feature, threshold, start, stop) of the best boundary or None.
 
-    Boundaries are scanned in (column, value) order and np.argmax keeps the
+    cols and vals are the node's nonzero entries in (column, value) order,
+    stats_nz the C-contiguous statistics of their rows, one stat per row of
+    the array: a, then b unless b is w, then w. node_sums holds the node's
+    sum of each stat. start:stop is the winning column's slice of the
+    entries.
+
+    Boundaries are scanned in (column, value) order and argmax keeps the
     first maximum, so ties resolve to the lowest feature index and then the
     lowest threshold.
     """
-    if elems.size == 0:
-        return None
-    cols = index.cols[elems]
-    vals = index.vals[elems]
-    rows_nz = index.rows[elems]
-    a_nz = a[rows_nz]
-    b_nz = b[rows_nz]
-    w_nz = w[rows_nz]
+    n = len(cols)
+    bound = np.empty(n + 1, dtype=bool)
+    bound[0] = bound[n] = True
+    np.not_equal(cols[1:], cols[:-1], out=bound[1:n])
+    bounds = bound.nonzero()[0]
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts
 
-    seg_first = np.empty(len(cols), dtype=bool)
-    seg_first[0] = True
-    seg_first[1:] = cols[1:] != cols[:-1]
-    starts = np.flatnonzero(seg_first)
-    col_ids = cols[starts]
-    counts = np.diff(starts, append=len(cols))
-
-    col_a = np.add.reduceat(a_nz, starts)
-    col_b = np.add.reduceat(b_nz, starts)
-    col_w = np.add.reduceat(w_nz, starts)
-    zero_a = node_a - col_a
-    zero_b = node_b - col_b
-    zero_w = node_w - col_w
+    # Along axis 1 of a C-contiguous (k, n) array, reduceat and cumsum give
+    # each row the same bits as the 1-D call on that row.
+    zero = node_sums[:, None] - np.add.reduceat(stats_nz, starts, axis=1)
     # Row weights are integer counts, so any implicit-zero mass shows up
     # as at least one full unit.
-    has_zero = zero_w > 0.5
-
-    negatives = np.add.reduceat((vals < 0).astype(np.int64), starts)
-    if np.any(has_zero):
-        ins_pos = (starts + negatives)[has_zero]
-        vals_ext = np.insert(vals, ins_pos, 0.0)
-        a_ext = np.insert(a_nz, ins_pos, zero_a[has_zero])
-        b_ext = np.insert(b_nz, ins_pos, zero_b[has_zero])
-        w_ext = np.insert(w_nz, ins_pos, zero_w[has_zero])
-        col_ext = np.insert(cols, ins_pos, col_ids[has_zero])
+    has_zero = zero[-1] > 0.5
+    n_zero = int(np.count_nonzero(has_zero))
+    total = n + n_zero
+    if n_zero:
+        # Scatter the entries and one zero pseudo-entry per column that has
+        # one, placed after the column's negative values, into the extended
+        # arrays.
+        at_zero = starts[has_zero] + np.arange(n_zero)
+        negative = vals < 0
+        if negative.any():
+            at_zero += np.add.reduceat(negative, starts, dtype=np.int64)[has_zero]
+        is_nz = np.ones(total, dtype=bool)
+        is_nz[at_zero] = False
+        at_nz = is_nz.nonzero()[0]
+        vals_ext = np.zeros(total)
+        vals_ext[at_nz] = vals
+        ext = np.empty((len(stats_nz), total))
+        # Row by row: fancy assignment along axis 1 of a 2-D array costs
+        # several times more than along a 1-D one.
+        for row, stat, stat_zero in zip(ext, stats_nz, zero):
+            row[at_nz] = stat
+            row[at_zero] = stat_zero[has_zero]
     else:
-        vals_ext, a_ext, b_ext, w_ext, col_ext = vals, a_nz, b_nz, w_nz, cols
+        vals_ext, ext = vals, stats_nz
+    counts_ext = counts + has_zero
+    ends_ext = counts_ext.cumsum()
+    starts_ext = ends_ext - counts_ext
 
-    inserted_before = np.concatenate(
-        [[0], np.cumsum(has_zero.astype(np.int64))[:-1]]
-    )
-    starts_ext = starts + inserted_before
-    counts_ext = counts + has_zero.astype(np.int64)
-    total = len(vals_ext)
+    # Each boundary's left sums: the running sum up to it minus the running
+    # sum before its column, read from a zero-led buffer.
+    cum = np.zeros((len(ext), total + 1))
+    ext.cumsum(axis=1, out=cum[:, 1:])
+    left = cum[:, 1:] - cum.take(starts_ext.repeat(counts_ext), axis=1)
+    right = node_sums[:, None] - left
 
-    cum_a = np.concatenate([[0.0], np.cumsum(a_ext)])
-    cum_b = np.concatenate([[0.0], np.cumsum(b_ext)])
-    cum_w = np.concatenate([[0.0], np.cumsum(w_ext)])
-    base_a = np.repeat(cum_a[starts_ext], counts_ext)
-    base_b = np.repeat(cum_b[starts_ext], counts_ext)
-    base_w = np.repeat(cum_w[starts_ext], counts_ext)
-    left_a = cum_a[1:] - base_a
-    left_b = cum_b[1:] - base_b
-    left_w = cum_w[1:] - base_w
-
-    valid = np.ones(total, dtype=bool)
-    seg_last = starts_ext + counts_ext - 1
-    valid[seg_last] = False
-    differs = np.empty(total, dtype=bool)
-    differs[:-1] = vals_ext[1:] != vals_ext[:-1]
-    differs[-1] = False
-    valid &= differs
-    right_w = node_w - left_w
-    valid &= (left_w >= spec.min_rows) & (right_w >= spec.min_rows)
+    valid = np.empty(total, dtype=bool)
+    np.not_equal(vals_ext[1:], vals_ext[:-1], out=valid[:-1])
+    valid[ends_ext - 1] = False
+    valid &= left[-1] >= spec.min_rows
+    valid &= right[-1] >= spec.min_rows
 
     if spec.n_sub_features is not None and spec.n_sub_features < index.n_features:
         chosen = np.sort(
             rng.choice(index.n_features, size=spec.n_sub_features, replace=False)
         )
+        col_ids = cols[starts]
         pos = np.searchsorted(chosen, col_ids)
         pos[pos >= len(chosen)] = len(chosen) - 1
-        col_ok = chosen[pos] == col_ids
-        valid &= np.repeat(col_ok, counts_ext)
+        valid &= np.repeat(chosen[pos] == col_ids, counts_ext)
 
-    if not np.any(valid):
-        return None
-
-    right_a = node_a - left_a
-    right_b = node_b - left_b
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = left_a * left_a / (left_b + spec.lam) + right_a * right_a / (
-            right_b + spec.lam
+        gain = left[0] * left[0] / (left[1] + spec.lam) + right[0] * right[0] / (
+            right[1] + spec.lam
         )
-    gain[~np.isfinite(gain)] = _NEG_INF
+    valid &= np.isfinite(gain)
     gain[~valid] = _NEG_INF
-    pick = int(np.argmax(gain))
+    pick = int(gain.argmax())
     if gain[pick] == _NEG_INF:
         return None
     if spec.mode != "gini":
-        parent = node_a * node_a / (node_b + spec.lam)
+        parent = node_sums[0] * node_sums[0] / (node_sums[1] + spec.lam)
         if gain[pick] - parent <= 0.0:
             return None
     v1 = vals_ext[pick]
@@ -265,7 +256,9 @@ def _best_split(
     threshold = (v1 + v2) / 2.0
     if threshold == v2:
         threshold = v1
-    return int(col_ext[pick]), float(threshold)
+    seg = int(ends_ext.searchsorted(pick, side="right"))
+    start = int(starts[seg])
+    return int(cols[start]), float(threshold), start, int(bounds[seg + 1])
 
 
 def grow_tree(
@@ -291,22 +284,22 @@ def grow_tree(
     value: list[float] = []
     train_value = np.zeros(index.n_rows, dtype=np.float64)
     side = np.empty(index.n_rows, dtype=bool)
-    den = b if leaf_den is None else leaf_den
+    # Gini and MSE growth pass the weights as b, and then carry one stat less.
+    b_is_w = b is w
+    stats = np.stack([a, w] if b_is_w else [a, b, w])
 
-    elems0 = np.flatnonzero(np.isin(index.rows, rows0))
+    rows0 = np.asarray(rows0, dtype=np.int64)
     if len(rows0) == index.n_rows:
         elems0 = np.arange(len(index.rows))
-
-    def leaf_value(rows: np.ndarray, node_a: float) -> float:
-        total = float(den[rows].sum())
-        if abs(total) < 1e-150:
-            return 0.0
-        return node_a / total
+    else:
+        elems0 = np.flatnonzero(np.isin(index.rows, rows0))
 
     def build(rows: np.ndarray, elems: np.ndarray, depth: int) -> int:
+        # Each node sum is a 1-D sum of one array: numpy sums along axis 1
+        # of a 2-D array in another order, which changes the bits.
         node_a = float(a[rows].sum())
-        node_b = float(b[rows].sum())
         node_w = float(w[rows].sum())
+        node_b = node_w if b_is_w else float(b[rows].sum())
         node_id = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -318,30 +311,35 @@ def grow_tree(
         can_split = depth < spec.max_depth and node_w >= 2 * spec.min_rows
         if can_split and spec.mode == "gini" and (node_a <= 0.0 or node_a >= node_w):
             can_split = False  # pure node
-        if can_split:
+        if can_split and elems.size:
+            cols = index.cols[elems]
+            vals = index.vals[elems]
+            rows_nz = index.rows[elems]
+            sums = [node_a, node_w] if b_is_w else [node_a, node_b, node_w]
+            # take, unlike stats[:, rows_nz], returns a C-contiguous array.
+            stats_nz = stats.take(rows_nz, axis=1)
             split = _best_split(
-                index, elems, node_a, node_b, node_w, spec, a, b, w, rng
+                index, cols, vals, stats_nz, np.array(sums), spec, rng
             )
         if split is None:
-            leaf = leaf_value(rows, node_a)
+            den = node_b if leaf_den is None else float(leaf_den[rows].sum())
+            leaf = 0.0 if abs(den) < 1e-150 else node_a / den
             value[node_id] = leaf
             train_value[rows] = leaf
             return node_id
 
-        feat, thr = split
+        feat, thr, start, stop = split
         feature[node_id] = feat
         threshold[node_id] = thr
         side[rows] = 0.0 <= thr
-        mask_f = index.cols[elems] == feat
-        elems_f = elems[mask_f]
-        side[index.rows[elems_f]] = index.vals[elems_f] <= thr
+        side[rows_nz[start:stop]] = vals[start:stop] <= thr
         row_side = side[rows]
-        elem_side = side[index.rows[elems]]
+        elem_side = side[rows_nz]
         left[node_id] = build(rows[row_side], elems[elem_side], depth + 1)
         right[node_id] = build(rows[~row_side], elems[~elem_side], depth + 1)
         return node_id
 
-    build(np.asarray(rows0, dtype=np.int64), elems0, 0)
+    build(rows0, elems0, 0)
     tree = Tree(
         sizes=np.array([len(feature)], dtype=np.int32),
         feature=np.array(feature, dtype=np.int32),

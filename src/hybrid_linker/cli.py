@@ -17,6 +17,9 @@ from pathlib import Path
 from . import HybridLinkerError, __version__
 from .config import Config, apply_overrides, load_config
 from .corpus import (
+    Commit,
+    Corpus,
+    Issue,
     SignalParams,
     _locate_decode_error,
     load_corpus,
@@ -229,7 +232,7 @@ def cmd_gen_links(args, config: Config) -> int:
 
 def cmd_train(args, config: Config) -> int:
     corpus = load_corpus_dir(args.corpus)
-    candidates = read_candidates(args.candidates)
+    candidates = read_candidates(args.candidates, corpus)
     model = train_hybrid(candidates, corpus, config)
     save_model(model, args.out)
     print(
@@ -241,7 +244,7 @@ def cmd_train(args, config: Config) -> int:
 
 def cmd_evaluate(args, config: Config) -> int:
     corpus = load_corpus_dir(args.corpus)
-    candidates = read_candidates(args.candidates)
+    candidates = read_candidates(args.candidates, corpus)
     if args.ablation:
         report = ablation(candidates, corpus, config)
     else:
@@ -269,7 +272,8 @@ def cmd_predict(args, config: Config) -> int:
     return 0
 
 
-def _read_pairs(path: str) -> list[tuple[str, str]]:
+def _read_pairs(path: str, corpus: Corpus) -> list[tuple[Issue, Commit]]:
+    """The (issue, commit) records each row of a pairs TSV names."""
     pairs = []
     try:
         with open(path, encoding="utf-8") as handle:
@@ -282,7 +286,12 @@ def _read_pairs(path: str) -> list[tuple[str, str]]:
                     raise HybridLinkerError(
                         f"{path}:{lineno}: expected issue_id<TAB>commit_hash"
                     )
-                pairs.append((fields[0], fields[1]))
+                try:
+                    pairs.append((corpus.issue(fields[0]), corpus.commit(fields[1])))
+                except KeyError as exc:
+                    raise HybridLinkerError(
+                        f"{path}:{lineno}: {exc.args[0]}"
+                    ) from None
     except UnicodeDecodeError:
         raise HybridLinkerError(_locate_decode_error(path)) from None
     return pairs
@@ -291,16 +300,13 @@ def _read_pairs(path: str) -> list[tuple[str, str]]:
 def cmd_predict_batch(args, config: Config) -> int:
     model = load_model(args.model)
     corpus = load_corpus_dir(args.corpus)
-    id_pairs = _read_pairs(args.pairs)
-    record_pairs = [
-        (corpus.issue(issue_id), corpus.commit(commit_hash))
-        for issue_id, commit_hash in id_pairs
-    ]
-    results = predict_pairs(model, record_pairs)
+    pairs = _read_pairs(args.pairs, corpus)
+    results = predict_pairs(model, pairs)
     lines = ["issue_id\tcommit_hash\tprobability\tlabel"]
-    for (issue_id, commit_hash), result in zip(id_pairs, results):
+    for (issue, commit), result in zip(pairs, results):
         lines.append(
-            f"{issue_id}\t{commit_hash}\t{result.probability!r}\t{result.label}"
+            f"{issue.issue_id}\t{commit.commit_hash}\t{result.probability!r}\t"
+            f"{result.label}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:

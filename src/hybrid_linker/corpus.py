@@ -34,6 +34,13 @@ class CorpusValidationError(CorpusError):
     """Parsed records violate a corpus-level invariant."""
 
 
+# The first and last UTC epoch seconds that format_timestamp can render.
+_FIRST_SECOND = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+_LAST_SECOND = int(
+    datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
+)
+
+
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 timestamp with zone designator to UTC epoch seconds."""
     if not isinstance(text, str) or not text:
@@ -47,7 +54,12 @@ def parse_timestamp(text: str) -> int:
         raise ValueError(f"bad timestamp {text!r}: {exc}") from None
     if moment.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no zone designator")
-    return int(moment.timestamp())
+    seconds = int(moment.timestamp())
+    # A zone offset can carry a valid local time past UTC year 9999 or
+    # before year 1, where format_timestamp cannot render it.
+    if not _FIRST_SECOND <= seconds <= _LAST_SECOND:
+        raise ValueError(f"timestamp {text!r} lies outside UTC years 1 to 9999")
+    return seconds
 
 
 def format_timestamp(epoch_seconds: int) -> str:

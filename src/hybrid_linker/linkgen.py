@@ -165,7 +165,10 @@ def write_candidates(path: str | Path, candidates: list[LinkCandidate]) -> None:
             )
 
 
-def read_candidates(path: str | Path) -> list[LinkCandidate]:
+def read_candidates(
+    path: str | Path, corpus: Corpus | None = None
+) -> list[LinkCandidate]:
+    """The candidates of a TSV file; given a corpus, each must name its records."""
     path = Path(path)
     candidates: list[LinkCandidate] = []
     first_seen: dict[tuple[str, str], int] = {}
@@ -193,6 +196,14 @@ def read_candidates(path: str | Path) -> list[LinkCandidate]:
                         f"{commit_hash!r} (first seen on line {first_seen[pair]})"
                     )
                 first_seen[pair] = lineno
+                if corpus is not None:
+                    try:
+                        corpus.issue(issue_id)
+                        corpus.commit(commit_hash)
+                    except KeyError as exc:
+                        raise CandidateFileError(
+                            f"{path}:{lineno}: {exc.args[0]}"
+                        ) from None
                 candidates.append(
                     LinkCandidate(
                         issue_id=issue_id,

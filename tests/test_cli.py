@@ -259,6 +259,72 @@ def test_bad_utf8_pairs_exit_one_naming_the_line(workspace, capsys):
     assert f"{pairs_path}:2: invalid UTF-8 at byte offset 27" in err
 
 
+def test_ingest_of_an_unrenderable_timestamp_exits_one_writing_nothing(
+    workspace, capsys
+):
+    corpus = workspace / "corpus"
+    _run(capsys, "synth", "--seed", 4, "--issues", 20, "--commits", 20,
+         "--out", corpus)
+    issues_path = corpus / "issues.jsonl"
+    lines = issues_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    record["created_date"] = "9999-12-31T23:59:59-23:59"
+    lines[2] = json.dumps(record)
+    issues_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = workspace / "normalized"
+    code, _, err = _run(
+        capsys, "ingest", "--issues", issues_path,
+        "--commits", corpus / "commits.jsonl", "--out", out,
+    )
+    assert code == 1
+    assert err.endswith(
+        f"error: {issues_path}:3: field 'created_date': timestamp "
+        "'9999-12-31T23:59:59-23:59' lies outside UTC years 1 to 9999\n"
+    )
+    assert not out.exists()
+
+
+def _append_row(path, row: str) -> int:
+    """Append one TSV row; returns its line number."""
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(row + "\n")
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_unknown_issue_in_candidates_exits_one_naming_the_line(
+    workspace, capsys, command
+):
+    corpus = workspace / "corpus"
+    _run(capsys, "synth", "--seed", 4, "--issues", 20, "--commits", 20,
+         "--out", corpus)
+    cands = workspace / "cands.tsv"
+    _run(capsys, "gen-links", "--corpus", corpus, "--seed", 4, "--out", cands)
+    commit_hash = cands.read_text(encoding="utf-8").splitlines()[1].split("\t")[1]
+    lineno = _append_row(cands, f"SYN-999\t{commit_hash}\t0\twindow")
+    out = ["--out", workspace / "m.hlb"] if command == "train" else []
+    code, _, err = _run(
+        capsys, command, "--config", workspace / "config.json",
+        "--corpus", corpus, "--candidates", cands, *out,
+    )
+    assert code == 1
+    assert err.endswith(f"error: {cands}:{lineno}: unknown issue id 'SYN-999'\n")
+
+
+def test_unknown_commit_in_pairs_exits_one_naming_the_line(workspace, capsys):
+    corpus, cands, model = _pipeline(workspace, capsys)
+    issue_id = cands.read_text(encoding="utf-8").splitlines()[1].split("\t")[0]
+    pairs_path = workspace / "pairs.tsv"
+    pairs_path.write_text("issue_id\tcommit_hash\n", encoding="utf-8")
+    lineno = _append_row(pairs_path, f"{issue_id}\tnope")
+    code, _, err = _run(
+        capsys, "predict-batch", "--model", model, "--corpus", corpus,
+        "--pairs", pairs_path,
+    )
+    assert code == 1
+    assert err.endswith(f"error: {pairs_path}:{lineno}: unknown commit hash 'nope'\n")
+
+
 def test_unknown_bundle_param_exits_one_naming_member_and_key(workspace, capsys):
     corpus, cands, model = _pipeline(workspace, capsys)
     with zipfile.ZipFile(model) as bundle:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -36,6 +37,36 @@ def test_parse_timestamp_rejects_naive_and_garbage():
 def test_timestamp_round_trip():
     for epoch in (T0, T0 + 12345, T0 + 400 * DAY):
         assert parse_timestamp(format_timestamp(epoch)) == epoch
+
+
+def test_timestamps_at_the_utc_year_bounds_round_trip():
+    for text in ("0001-01-01T00:00:00+00:00", "9999-12-31T23:59:59+00:00"):
+        assert format_timestamp(parse_timestamp(text)) == text
+
+
+@pytest.mark.parametrize("field", ["created_date", "resolved_date"])
+@pytest.mark.parametrize(
+    "stamp",
+    # Valid local times whose UTC instants fall in year 10000 and year 0.
+    ["9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00+23:59"],
+)
+def test_load_rejects_timestamps_format_timestamp_cannot_render(
+    tmp_path, field, stamp
+):
+    corpus = synthesize_corpus(seed=3, n_issues=12, n_commits=10)
+    save_corpus_dir(corpus, tmp_path / "corpus")
+    issues_path = tmp_path / "corpus" / "issues.jsonl"
+    lines = issues_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record[field] = stamp
+    lines[1] = json.dumps(record)
+    issues_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = (
+        f"issues.jsonl:2: field '{field}': timestamp '{stamp}' "
+        "lies outside UTC years 1 to 9999"
+    )
+    with pytest.raises(CorpusFormatError, match=re.escape(message) + "$"):
+        load_corpus_dir(tmp_path / "corpus")
 
 
 def test_validate_rejects_duplicate_issue_ids():

@@ -1,4 +1,9 @@
-"""Packed-forest prediction against the per-tree walk it replaced.
+"""The tree grower and the packed-forest walk against the code they replaced.
+
+grow_tree scans each node's split boundaries in one stacked pass over
+scattered extended arrays. The reference grower below is the
+np.insert-based grower it replaced, kept verbatim; both must build the same
+trees and training-row values bit for bit.
 
 Tree.predict walks every tree of a packed forest at once over each densified
 chunk of rows. The oracle below walks one tree at a time over the whole dense
@@ -16,12 +21,219 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid_linker import _tree
-from hybrid_linker._tree import ColumnIndex, GrowSpec, grow_tree, pack
+from hybrid_linker._tree import ColumnIndex, GrowSpec, Tree, grow_tree, pack
 from hybrid_linker.learn import LearnerParams, predict_proba, sigmoid, train
 
 # Few distinct values, zeros and negatives included, so that grown trees see
 # ties, implicit zeros and splits on both sides of zero.
 VALUES = st.sampled_from([0.0, 0.0, 0.0, -1.5, -0.25, 0.25, 0.5, 1.0, 3.0])
+
+
+# The grower as it was before the stacked split search, kept as the oracle.
+
+_NEG_INF = -np.inf
+
+
+def _reference_best_split(
+    index: ColumnIndex,
+    elems: np.ndarray,
+    node_a: float,
+    node_b: float,
+    node_w: float,
+    spec: GrowSpec,
+    a: np.ndarray,
+    b: np.ndarray,
+    w: np.ndarray,
+    rng: np.random.Generator | None,
+):
+    """Return (feature, threshold) of the best boundary or None.
+
+    Boundaries are scanned in (column, value) order and np.argmax keeps the
+    first maximum, so ties resolve to the lowest feature index and then the
+    lowest threshold.
+    """
+    if elems.size == 0:
+        return None
+    cols = index.cols[elems]
+    vals = index.vals[elems]
+    rows_nz = index.rows[elems]
+    a_nz = a[rows_nz]
+    b_nz = b[rows_nz]
+    w_nz = w[rows_nz]
+
+    seg_first = np.empty(len(cols), dtype=bool)
+    seg_first[0] = True
+    seg_first[1:] = cols[1:] != cols[:-1]
+    starts = np.flatnonzero(seg_first)
+    col_ids = cols[starts]
+    counts = np.diff(starts, append=len(cols))
+
+    col_a = np.add.reduceat(a_nz, starts)
+    col_b = np.add.reduceat(b_nz, starts)
+    col_w = np.add.reduceat(w_nz, starts)
+    zero_a = node_a - col_a
+    zero_b = node_b - col_b
+    zero_w = node_w - col_w
+    # Row weights are integer counts, so any implicit-zero mass shows up
+    # as at least one full unit.
+    has_zero = zero_w > 0.5
+
+    negatives = np.add.reduceat((vals < 0).astype(np.int64), starts)
+    if np.any(has_zero):
+        ins_pos = (starts + negatives)[has_zero]
+        vals_ext = np.insert(vals, ins_pos, 0.0)
+        a_ext = np.insert(a_nz, ins_pos, zero_a[has_zero])
+        b_ext = np.insert(b_nz, ins_pos, zero_b[has_zero])
+        w_ext = np.insert(w_nz, ins_pos, zero_w[has_zero])
+        col_ext = np.insert(cols, ins_pos, col_ids[has_zero])
+    else:
+        vals_ext, a_ext, b_ext, w_ext, col_ext = vals, a_nz, b_nz, w_nz, cols
+
+    inserted_before = np.concatenate(
+        [[0], np.cumsum(has_zero.astype(np.int64))[:-1]]
+    )
+    starts_ext = starts + inserted_before
+    counts_ext = counts + has_zero.astype(np.int64)
+    total = len(vals_ext)
+
+    cum_a = np.concatenate([[0.0], np.cumsum(a_ext)])
+    cum_b = np.concatenate([[0.0], np.cumsum(b_ext)])
+    cum_w = np.concatenate([[0.0], np.cumsum(w_ext)])
+    base_a = np.repeat(cum_a[starts_ext], counts_ext)
+    base_b = np.repeat(cum_b[starts_ext], counts_ext)
+    base_w = np.repeat(cum_w[starts_ext], counts_ext)
+    left_a = cum_a[1:] - base_a
+    left_b = cum_b[1:] - base_b
+    left_w = cum_w[1:] - base_w
+
+    valid = np.ones(total, dtype=bool)
+    seg_last = starts_ext + counts_ext - 1
+    valid[seg_last] = False
+    differs = np.empty(total, dtype=bool)
+    differs[:-1] = vals_ext[1:] != vals_ext[:-1]
+    differs[-1] = False
+    valid &= differs
+    right_w = node_w - left_w
+    valid &= (left_w >= spec.min_rows) & (right_w >= spec.min_rows)
+
+    if spec.n_sub_features is not None and spec.n_sub_features < index.n_features:
+        chosen = np.sort(
+            rng.choice(index.n_features, size=spec.n_sub_features, replace=False)
+        )
+        pos = np.searchsorted(chosen, col_ids)
+        pos[pos >= len(chosen)] = len(chosen) - 1
+        col_ok = chosen[pos] == col_ids
+        valid &= np.repeat(col_ok, counts_ext)
+
+    if not np.any(valid):
+        return None
+
+    right_a = node_a - left_a
+    right_b = node_b - left_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = left_a * left_a / (left_b + spec.lam) + right_a * right_a / (
+            right_b + spec.lam
+        )
+    gain[~np.isfinite(gain)] = _NEG_INF
+    gain[~valid] = _NEG_INF
+    pick = int(np.argmax(gain))
+    if gain[pick] == _NEG_INF:
+        return None
+    if spec.mode != "gini":
+        parent = node_a * node_a / (node_b + spec.lam)
+        if gain[pick] - parent <= 0.0:
+            return None
+    v1 = vals_ext[pick]
+    v2 = vals_ext[pick + 1]
+    threshold = (v1 + v2) / 2.0
+    if threshold == v2:
+        threshold = v1
+    return int(col_ext[pick]), float(threshold)
+
+
+def _reference_grow_tree(
+    index: ColumnIndex,
+    rows0: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    w: np.ndarray,
+    spec: GrowSpec,
+    leaf_den: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+):
+    """Grow one tree; returns (one-tree Tree, per-training-row leaf values).
+
+    a, b, w index by global row id. leaf_den, when given, supplies the leaf
+    value denominator (second-order sums for the boosting Newton step);
+    otherwise leaves use b. Leaf value is sum(a)/sum(den) with a zero guard.
+    """
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+    train_value = np.zeros(index.n_rows, dtype=np.float64)
+    side = np.empty(index.n_rows, dtype=bool)
+    den = b if leaf_den is None else leaf_den
+
+    elems0 = np.flatnonzero(np.isin(index.rows, rows0))
+    if len(rows0) == index.n_rows:
+        elems0 = np.arange(len(index.rows))
+
+    def leaf_value(rows: np.ndarray, node_a: float) -> float:
+        total = float(den[rows].sum())
+        if abs(total) < 1e-150:
+            return 0.0
+        return node_a / total
+
+    def build(rows: np.ndarray, elems: np.ndarray, depth: int) -> int:
+        node_a = float(a[rows].sum())
+        node_b = float(b[rows].sum())
+        node_w = float(w[rows].sum())
+        node_id = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+
+        split = None
+        can_split = depth < spec.max_depth and node_w >= 2 * spec.min_rows
+        if can_split and spec.mode == "gini" and (node_a <= 0.0 or node_a >= node_w):
+            can_split = False  # pure node
+        if can_split:
+            split = _reference_best_split(
+                index, elems, node_a, node_b, node_w, spec, a, b, w, rng
+            )
+        if split is None:
+            leaf = leaf_value(rows, node_a)
+            value[node_id] = leaf
+            train_value[rows] = leaf
+            return node_id
+
+        feat, thr = split
+        feature[node_id] = feat
+        threshold[node_id] = thr
+        side[rows] = 0.0 <= thr
+        mask_f = index.cols[elems] == feat
+        elems_f = elems[mask_f]
+        side[index.rows[elems_f]] = index.vals[elems_f] <= thr
+        row_side = side[rows]
+        elem_side = side[index.rows[elems]]
+        left[node_id] = build(rows[row_side], elems[elem_side], depth + 1)
+        right[node_id] = build(rows[~row_side], elems[~elem_side], depth + 1)
+        return node_id
+
+    build(np.asarray(rows0, dtype=np.int64), elems0, 0)
+    tree = Tree(
+        sizes=np.array([len(feature)], dtype=np.int32),
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
+    return tree, train_value
 
 
 def _per_tree_leaves(forest, X: np.ndarray) -> list[np.ndarray]:
@@ -177,3 +389,64 @@ def test_training_packs_one_forest_per_learner():
     assert 1 <= len(boosted.trees) == len(boosted.tree_scales) <= 6
     linear = train(LearnerParams(variant="logistic_regression", epochs=1), X, y)
     assert len(linear.trees) == 0
+
+
+@st.composite
+def grower_cases(draw):
+    """A random sparse training set with the statistics one learner passes.
+
+    Some columns are forced empty. Gini and MSE pass the weights as b, either
+    the same array as w or an equal copy; xgb passes hessians. Weights are
+    bootstrap counts or all ones (then rows0 covers every row).
+    """
+    X = draw(matrices(min_rows=1, max_rows=40))
+    n, d = X.shape
+    X[:, draw(st.lists(st.integers(0, d - 1), max_size=d))] = 0.0
+    mode = draw(st.sampled_from(["gini", "mse", "xgb"]))
+    spec = GrowSpec(
+        mode=mode,
+        max_depth=draw(st.integers(1, 8)),
+        min_rows=draw(st.integers(1, 4)),
+        lam=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        n_sub_features=draw(st.none() | st.integers(1, d)),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+    else:
+        weights = np.ones(n)
+    y = (rng.random(n) < 0.5).astype(float)
+    p = rng.uniform(0.05, 0.95, size=n)
+    w = weights
+    if mode == "gini":
+        a = y * weights
+    else:
+        a = y - p
+    if mode == "xgb":
+        b = p * (1.0 - p)
+    else:
+        b = w.copy() if draw(st.booleans()) else w
+    leaf_den = draw(st.sampled_from([None, p * (1.0 - p)]))
+    rows0 = np.flatnonzero(weights)
+    return ColumnIndex(sp.csr_matrix(X)), rows0, a, b, w, spec, leaf_den, seed
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=400)
+@given(grower_cases())
+def test_grower_matches_reference_grower(case):
+    index, rows0, a, b, w, spec, leaf_den, seed = case
+    want_tree, want_values = _reference_grow_tree(
+        index, rows0, a, b, w, spec, leaf_den, np.random.default_rng(seed)
+    )
+    got_tree, got_values = grow_tree(
+        index, rows0, a, b, w, spec, leaf_den, np.random.default_rng(seed)
+    )
+    for name, _ in _tree.TREE_ARRAYS:
+        _assert_same_bits(getattr(got_tree, name), getattr(want_tree, name))
+    _assert_same_bits(got_values, want_values)
