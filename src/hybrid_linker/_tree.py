@@ -340,6 +340,10 @@ def grow_tree(
         return node_id
 
     build(rows0, elems0, 0)
+    # build reaches itself through its closure; dropping the name breaks that
+    # cycle, so the index and the row statistics are freed on return rather
+    # than by the cyclic collector.
+    del build
     tree = Tree(
         sizes=np.array([len(feature)], dtype=np.int32),
         feature=np.array(feature, dtype=np.int32),

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 
 from . import HybridLinkerError
@@ -34,6 +35,8 @@ class CorpusValidationError(CorpusError):
     """Parsed records violate a corpus-level invariant."""
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
 # The first and last UTC epoch seconds that format_timestamp can render.
 _FIRST_SECOND = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
 _LAST_SECOND = int(
@@ -46,7 +49,7 @@ def parse_timestamp(text: str) -> int:
     if not isinstance(text, str) or not text:
         raise ValueError(f"timestamp must be a non-empty string, got {text!r}")
     # datetime.fromisoformat on 3.10 rejects the Z designator.
-    if text.endswith("Z") or text.endswith("z"):
+    if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
         moment = datetime.fromisoformat(text)
@@ -54,7 +57,12 @@ def parse_timestamp(text: str) -> int:
         raise ValueError(f"bad timestamp {text!r}: {exc}") from None
     if moment.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no zone designator")
-    seconds = int(moment.timestamp())
+    # Whole seconds truncated toward zero, as int(moment.timestamp()) gives
+    # wherever that float is exact, without its rounding.
+    delta = moment - _EPOCH
+    seconds = delta.days * SECONDS_PER_DAY + delta.seconds
+    if seconds < 0 and delta.microseconds:
+        seconds += 1
     # A zone offset can carry a valid local time past UTC year 9999 or
     # before year 1, where format_timestamp cannot render it.
     if not _FIRST_SECOND <= seconds <= _LAST_SECOND:
@@ -198,6 +206,58 @@ def _commit_from_record(record: dict, where: str) -> Commit:
     )
 
 
+# The fast builders read every required field with one itemgetter and check
+# the types of all text fields at once. Any fault raises KeyError, TypeError
+# or ValueError, and the record is then rebuilt by the checked builder above,
+# which raises the message that locates the first fault.
+_ISSUE_FIELDS = itemgetter(
+    "issue_id", "project", "summary", "description", "raw_type", "raw_status",
+    "reporter", "creator", "created_date", "updated_date",
+)
+_COMMIT_FIELDS = itemgetter(
+    "commit_hash", "project", "message", "diff_text", "author", "committer",
+    "linked_issue_ids", "author_time_date", "commit_time_date",
+)
+
+
+def _fast_issue(record) -> Issue:
+    fields = _ISSUE_FIELDS(record)
+    if set(map(type, fields[:8])) != {str}:
+        raise TypeError("text field not a string")
+    resolved = record.get("resolved_date")
+    return Issue(
+        issue_id=fields[0],
+        project=fields[1],
+        summary=fields[2],
+        description=fields[3],
+        raw_type=fields[4],
+        raw_status=fields[5],
+        created_date=parse_timestamp(fields[8]),
+        updated_date=parse_timestamp(fields[9]),
+        resolved_date=None if resolved is None else parse_timestamp(resolved),
+        reporter=fields[6],
+        creator=fields[7],
+    )
+
+
+def _fast_commit(record) -> Commit:
+    fields = _COMMIT_FIELDS(record)
+    linked = fields[6]
+    if type(linked) is not list or set(map(type, (*fields[:6], *linked))) != {str}:
+        raise TypeError("text field not a string")
+    return Commit(
+        commit_hash=fields[0],
+        project=fields[1],
+        message=fields[2],
+        diff_text=fields[3],
+        author=fields[4],
+        committer=fields[5],
+        author_time_date=parse_timestamp(fields[7]),
+        commit_time_date=parse_timestamp(fields[8]),
+        linked_issue_ids=tuple(linked),
+    )
+
+
 def _locate_decode_error(path: Path) -> str:
     """Name the line and byte offset of the first invalid UTF-8 byte in path.
 
@@ -216,7 +276,8 @@ def _locate_decode_error(path: Path) -> str:
     return f"{path}: invalid UTF-8"
 
 
-def _read_jsonl(path: Path, builder) -> list:
+def _read_jsonl(path: Path, fast, checked) -> list:
+    """Build each record with fast; one it rejects goes through checked."""
     records = []
     try:
         with open(path, encoding="utf-8") as handle:
@@ -224,14 +285,21 @@ def _read_jsonl(path: Path, builder) -> list:
                 line = line.strip()
                 if not line:
                     continue
-                where = f"{path}:{lineno}"
                 try:
                     raw = json.loads(line)
                 except (json.JSONDecodeError, RecursionError) as exc:
-                    raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from None
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: invalid JSON: {exc}"
+                    ) from None
+                try:
+                    records.append(fast(raw))
+                    continue
+                except (KeyError, TypeError, ValueError):
+                    pass
+                where = f"{path}:{lineno}"
                 if not isinstance(raw, dict):
                     raise CorpusFormatError(f"{where}: record must be a JSON object")
-                records.append(builder(raw, where))
+                records.append(checked(raw, where))
     except UnicodeDecodeError:
         raise CorpusFormatError(_locate_decode_error(path)) from None
     return records
@@ -289,8 +357,8 @@ def validate_corpus(corpus: Corpus) -> None:
 
 def load_corpus(issues_path: str | Path, commits_path: str | Path) -> Corpus:
     """Load and validate a corpus from its two JSON Lines files."""
-    issues = _read_jsonl(Path(issues_path), _issue_from_record)
-    commits = _read_jsonl(Path(commits_path), _commit_from_record)
+    issues = _read_jsonl(Path(issues_path), _fast_issue, _issue_from_record)
+    commits = _read_jsonl(Path(commits_path), _fast_commit, _commit_from_record)
     if not issues and not commits:
         raise CorpusValidationError(
             f"corpus has no records ({issues_path}, {commits_path})"

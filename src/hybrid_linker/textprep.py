@@ -28,6 +28,11 @@ CODE_TERM_PATTERNS: dict[str, re.Pattern] = {
     "system_variable": re.compile(r"_+[A-Za-z0-9]+.+"),
     "reference_expression": re.compile(r"[a-zA-Z]+[:]{2,}.+"),
 }
+# One alternation of the patterns above: a token fully matches it exactly
+# when it fully matches one of them.
+_CODE_TERM = re.compile(
+    "|".join(f"(?:{p.pattern})" for p in CODE_TERM_PATTERNS.values())
+)
 
 
 @dataclass(frozen=True)
@@ -89,13 +94,8 @@ def preprocess_natural(text: str, stopwords: frozenset[str] | None = None) -> To
 
 def extract_code_terms(diff_text: str) -> TokenStream:
     """Pull identifier-looking tokens out of diff text, verbatim and in order."""
-    kept = []
-    for token in diff_text.split():
-        for pattern in CODE_TERM_PATTERNS.values():
-            if pattern.fullmatch(token):
-                kept.append(token)
-                break
-    return TokenStream(tokens=tuple(kept), kind="code_term")
+    kept = tuple(filter(_CODE_TERM.fullmatch, diff_text.split()))
+    return TokenStream(tokens=kept, kind="code_term")
 
 
 def issue_text(issue: Issue) -> str:

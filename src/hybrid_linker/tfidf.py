@@ -91,28 +91,63 @@ def fit(
     )
 
 
-def _transform_arrays(model: TfidfModel, doc: TokenStream):
-    counts: Counter = Counter()
-    for gram in ngrams(doc.tokens, model.ngram_range):
-        index = model.term_index.get(gram)
-        if index is not None:
-            counts[index] += 1
-    if not counts:
-        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
-    indices = np.array(sorted(counts), dtype=np.int32)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    values *= model.idf[indices]
-    norm = np.sqrt(np.sum(values * values))
-    if norm > 0.0:
-        values /= norm
-    return indices, values
+def _transform_rows(
+    blocks: list[tuple[TfidfModel, list[TokenStream]]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, values) of every block's document vectors.
+
+    Each block is a model and its documents. Rows run over the documents of
+    each block in turn, and the blocks' columns lie side by side in the same
+    order. Python looks up each document's n-grams; counting, weighting and
+    normalizing then run over all rows at once. A row's norm is a 1-D sum of
+    its squares, summed in the order a lone document's would be:
+    np.add.reduceat sums in another order and moves bits.
+    """
+    width = max(1, sum(model.width for model, _ in blocks))
+    keys: list[int] = []
+    n_rows = offset = 0
+    for model, documents in blocks:
+        get = model.term_index.get
+        for doc in documents:
+            # One key per n-gram in the vocabulary: row * width + column.
+            base = n_rows * width + offset
+            grams = ngrams(doc.tokens, model.ngram_range)
+            keys += [base + i for i in map(get, grams) if i is not None]
+            n_rows += 1
+        offset += model.width
+    # Sorted keys run in row, then column order; each run is one entry.
+    keys = np.array(keys, dtype=np.int64)
+    keys.sort()
+    n = len(keys)
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:n])
+    runs = np.flatnonzero(edge)
+    rows, cols = np.divmod(keys[runs[:-1]], width)
+    counts = runs[1:] - runs[:-1]
+    values = counts * np.concatenate([model.idf for model, _ in blocks])[cols]
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    squares = values * values
+    bounds = indptr.tolist()
+    row_sum = np.add.reduce  # what ndarray.sum runs, minus its wrapper
+    norms = np.sqrt(
+        [row_sum(squares[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    )
+    scale = norms[rows]
+    np.divide(values, scale, out=values, where=scale > 0.0)
+    return indptr, cols.astype(np.int32), values
+
+
+def _rows_matrix(model: TfidfModel, documents: list[TokenStream]) -> sp.csr_matrix:
+    indptr, indices, values = _transform_rows([(model, documents)])
+    return sp.csr_matrix(
+        (values, indices, indptr), shape=(len(documents), model.width)
+    )
 
 
 def transform(model: TfidfModel, doc: TokenStream) -> sp.csr_matrix:
     """Vectorize one document as a 1 x width sparse row."""
-    indices, values = _transform_arrays(model, doc)
-    indptr = np.array([0, len(indices)], dtype=np.int32)
-    return sp.csr_matrix((values, indices, indptr), shape=(1, model.width))
+    return _rows_matrix(model, [doc])
 
 
 def fit_transform(
@@ -121,8 +156,7 @@ def fit_transform(
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> tuple[TfidfModel, sp.csr_matrix]:
     model = fit(documents, ngram_range, max_features)
-    rows = sp.vstack([transform(model, doc) for doc in documents], format="csr")
-    return model, rows
+    return model, _rows_matrix(model, documents)
 
 
 @dataclass(frozen=True)
@@ -177,45 +211,52 @@ def featurize_pairs_textual(
 ) -> sp.csr_matrix:
     """Vectorize (issue, commit) pairs into rows of three concatenated blocks.
 
-    Per-document transforms are cached by record id, so repeated issues and
-    commits cost one transform each.
+    Each distinct issue and commit is preprocessed once, in first-seen
+    order, and all three blocks' documents are transformed in one pass; a
+    pair's row is then its issue's row of the first block followed by its
+    commit's rows of the other two.
     """
-    issue_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    commit_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    _, message_offset, code_offset = vectorizers.offsets
-    indptr = [0]
-    all_indices: list[np.ndarray] = []
-    all_values: list[np.ndarray] = []
-    count = 0
+    issue_rows: dict[str, int] = {}
+    commit_rows: dict[str, int] = {}
+    issue_docs: list[TokenStream] = []
+    message_docs: list[TokenStream] = []
+    code_docs: list[TokenStream] = []
+    # Per pair, its issue's row in the first block and its commit's row in
+    # the other two, each counted within its block.
+    segments: list[int] = []
     for issue, commit in pairs:
-        count += 1
-        if issue.issue_id not in issue_cache:
-            doc = issue_doc(issue, stopwords)
-            issue_cache[issue.issue_id] = _transform_arrays(vectorizers.issue, doc)
-        if commit.commit_hash not in commit_cache:
-            msg_idx, msg_val = _transform_arrays(
-                vectorizers.message, message_doc(commit, stopwords)
-            )
-            code_idx, code_val = _transform_arrays(vectorizers.code, code_doc(commit))
-            commit_cache[commit.commit_hash] = (
-                np.concatenate([msg_idx + message_offset, code_idx + code_offset]),
-                np.concatenate([msg_val, code_val]),
-            )
-        issue_idx, issue_val = issue_cache[issue.issue_id]
-        commit_idx, commit_val = commit_cache[commit.commit_hash]
-        all_indices.append(issue_idx)
-        all_indices.append(commit_idx)
-        all_values.append(issue_val)
-        all_values.append(commit_val)
-        indptr.append(indptr[-1] + len(issue_idx) + len(commit_idx))
-    if all_indices:
-        data = np.concatenate(all_values)
-        indices = np.concatenate(all_indices)
-    else:
-        data = np.empty(0, dtype=np.float64)
-        indices = np.empty(0, dtype=np.int32)
-    return sp.csr_matrix(
-        (data, indices, np.array(indptr, dtype=np.int64)),
-        shape=(count, vectorizers.width),
-    )
+        issue_row = issue_rows.get(issue.issue_id)
+        if issue_row is None:
+            issue_row = issue_rows[issue.issue_id] = len(issue_docs)
+            issue_docs.append(issue_doc(issue, stopwords))
+        commit_row = commit_rows.get(commit.commit_hash)
+        if commit_row is None:
+            commit_row = commit_rows[commit.commit_hash] = len(message_docs)
+            message_docs.append(message_doc(commit, stopwords))
+            code_docs.append(code_doc(commit))
+        segments += (issue_row, commit_row, commit_row)
 
+    indptr, indices, values = _transform_rows(
+        [
+            (vectorizers.issue, issue_docs),
+            (vectorizers.message, message_docs),
+            (vectorizers.code, code_docs),
+        ]
+    )
+    # Gather each pair's three row segments, in order, from the rows of all
+    # blocks laid end to end.
+    n_issues, n_commits = len(issue_docs), len(message_docs)
+    segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
+    segments += np.array((0, n_issues, n_issues + n_commits))
+    starts = indptr[segments.ravel()]
+    lengths = indptr[segments.ravel() + 1] - starts
+    ends = lengths.cumsum()
+    take = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+    # scipy takes int32 index arrays as they are but scans int64 ones for
+    # whether they fit int32; both give the same matrix.
+    indptr = np.zeros(len(segments) + 1, np.int32 if len(take) < 2**31 else np.int64)
+    indptr[1:] = ends[2::3]
+    return sp.csr_matrix(
+        (values[take], indices[take], indptr),
+        shape=(len(segments), vectorizers.width),
+    )

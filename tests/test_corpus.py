@@ -1,14 +1,24 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import tempfile
+from datetime import datetime, timedelta, timezone
+from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybrid_linker import corpus as corpus_module
 from hybrid_linker.corpus import (
     CorpusFormatError,
     CorpusValidationError,
     SignalParams,
+    _locate_decode_error,
     format_timestamp,
     load_corpus_dir,
     parse_timestamp,
@@ -267,3 +277,159 @@ def test_some_issues_lack_resolved_date():
     missing = [it for it in corpus.issues if it.resolved_date is None]
     present = [it for it in corpus.issues if it.resolved_date is not None]
     assert missing and present
+
+
+def test_the_last_valid_instant_loads_exactly():
+    assert parse_timestamp("9999-12-31T23:59:59.999999+00:00") == 253402300799
+    assert parse_timestamp("1969-12-31T23:59:59.5+00:00") == 0
+    assert parse_timestamp("1969-12-31T23:59:58.5+00:00") == -1
+
+
+@settings(max_examples=500)
+@given(
+    st.datetimes(
+        min_value=datetime(1, 1, 2),
+        max_value=datetime(9999, 12, 30),
+        timezones=st.sampled_from(
+            [timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+             timezone(-timedelta(hours=23, minutes=59))]
+        ),
+    )
+)
+def test_exact_seconds_agree_with_the_float_wherever_it_is_exact(moment):
+    got = parse_timestamp(moment.isoformat())
+    delta = moment - datetime(1970, 1, 1, tzinfo=timezone.utc)
+    exact = Fraction(delta // timedelta(microseconds=1), 10**6)
+    assert got == math.trunc(exact)
+    stamp = moment.timestamp()
+    # Within 2**32 s of 1970 the float's rounding error stays below half a
+    # microsecond, so it cannot cross a whole second.
+    if Fraction(stamp) == exact or abs(stamp) < 2**32:
+        assert got == int(stamp)
+
+
+# The JSON Lines reader as it was before the fast record path, kept verbatim
+# as the oracle: a file must load to the same records, or fail with the same
+# message, either way.
+
+
+def _oracle_read_jsonl(path: Path, builder) -> list:
+    records = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    raw = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from None
+                if not isinstance(raw, dict):
+                    raise CorpusFormatError(f"{where}: record must be a JSON object")
+                records.append(builder(raw, where))
+    except UnicodeDecodeError:
+        raise CorpusFormatError(_locate_decode_error(path)) from None
+    return records
+
+
+READERS = {
+    "issues": (corpus_module._fast_issue, corpus_module._issue_from_record),
+    "commits": (corpus_module._fast_commit, corpus_module._commit_from_record),
+}
+
+
+@lru_cache(maxsize=1)
+def _saved_records() -> dict[str, list[dict]]:
+    """The records of a saved synthetic corpus, as loaded from its files."""
+    corpus = synthesize_corpus(seed=3, n_issues=6, n_commits=6)
+    with tempfile.TemporaryDirectory() as directory:
+        save_corpus_dir(corpus, directory)
+        return {
+            kind: [
+                json.loads(line)
+                for line in (Path(directory) / f"{kind}.jsonl").read_text().splitlines()
+            ]
+            for kind in READERS
+        }
+
+
+def _read_both_ways(kind: str, lines: list[str]):
+    """What the reader and its oracle give for a file of these lines: the
+    records, or the type and text of the error."""
+    fast, checked = READERS[kind]
+    outcomes = []
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"{kind}.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for read in (
+            lambda: corpus_module._read_jsonl(path, fast, checked),
+            lambda: _oracle_read_jsonl(path, checked),
+        ):
+            try:
+                outcomes.append(read())
+            except CorpusFormatError as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+TIME_FIELDS = {
+    "created_date", "updated_date", "resolved_date", "author_time_date",
+    "commit_time_date",
+}
+WRONG_VALUES = [None, 0, 1.5, True, "", "x", [], ["SYN-1"], [1], {}, {"a": "b"}]
+BAD_STAMPS = st.sampled_from(
+    [
+        "not a time",
+        "2019-01-01T00:00:00",
+        "2019-13-01T00:00:00Z",
+        "9999-12-31T23:59:59-23:59",
+        "0001-01-01T00:00:00+23:59",
+        "9999-12-31T23:59:59.999999+00:00",
+        "2019-01-01T00:00:00.5-01:00",
+        "2019-01-01T00:00:00z",
+    ]
+)
+
+
+@st.composite
+def mutated_records(draw):
+    """A saved record with one to three faults: a key deleted, a value of
+    the wrong type, a bad, out-of-range or unusual timestamp."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    record = dict(draw(st.sampled_from(_saved_records()[kind])))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(record) or ["issue_id"]))
+        fault = draw(st.sampled_from(["delete", "wrong", "stamp"]))
+        if fault == "delete":
+            record.pop(key, None)
+        elif fault == "stamp" and key in TIME_FIELDS:
+            record[key] = draw(BAD_STAMPS)
+        else:
+            record[key] = draw(st.sampled_from(WRONG_VALUES))
+    return kind, record
+
+
+@settings(max_examples=500)
+@given(mutated_records(), st.booleans())
+def test_fast_record_path_loads_or_fails_like_the_checked_builders(case, first):
+    kind, record = case
+    intact = json.dumps(_saved_records()[kind][0])
+    mutated = json.dumps(record)
+    lines = [mutated, intact] if first else [intact, "", mutated]
+    got, want = _read_both_ways(kind, lines)
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_every_single_fault_fails_like_the_checked_builders(kind):
+    record = _saved_records()[kind][0]
+    cases = [[], "record", 7, None]
+    for key in record:
+        cases.append({k: v for k, v in record.items() if k != key})
+        for wrong in WRONG_VALUES:
+            cases.append({**record, key: wrong})
+    for case in cases:
+        got, want = _read_both_ways(kind, [json.dumps(case)])
+        assert got == want, case

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hybrid_linker.corpus import synthesize_corpus
 from hybrid_linker.porter import stem
 from hybrid_linker.textprep import (
@@ -204,3 +207,14 @@ def test_load_stopwords_custom_file(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("# comment\nfoo\nbar\n\n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.text(alphabet="abzABZ019_.:-", min_size=1, max_size=8), max_size=6))
+def test_code_terms_are_tokens_matching_any_one_pattern(tokens):
+    want = tuple(
+        token
+        for token in tokens
+        if any(p.fullmatch(token) for p in CODE_TERM_PATTERNS.values())
+    )
+    assert extract_code_terms(" ".join(tokens)).tokens == want

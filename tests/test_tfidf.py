@@ -2,13 +2,25 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybrid_linker.linkgen import LinkCandidate, generate_candidates
 from hybrid_linker.corpus import synthesize_corpus
-from hybrid_linker.textprep import TokenStream, load_stopwords
+from hybrid_linker.textprep import (
+    TokenStream,
+    code_doc,
+    issue_doc,
+    load_stopwords,
+    message_doc,
+)
 from hybrid_linker.tfidf import (
+    TextualVectorizers,
+    TfidfModel,
     featurize_pairs_textual,
     fit,
     fit_transform,
@@ -16,6 +28,7 @@ from hybrid_linker.tfidf import (
     ngrams,
     transform,
 )
+from tests.conftest import make_commit, make_issue
 
 MICRO_DOCS = [
     ("copi", "indic", "valu"),
@@ -199,3 +212,199 @@ def test_vectorizers_fit_only_on_candidate_documents():
     for term in vectorizers.issue.term_index:
         fitted.update(term.split(" "))
     assert not (fitted & only_outside)
+
+
+# The transform and per-pair assembly as they were before the batched
+# transform, kept verbatim as the oracle: featurize_pairs_textual, transform
+# and fit_transform must give the same CSR arrays bit for bit.
+
+
+def _oracle_transform_arrays(model: TfidfModel, doc: TokenStream):
+    counts: Counter = Counter()
+    for gram in ngrams(doc.tokens, model.ngram_range):
+        index = model.term_index.get(gram)
+        if index is not None:
+            counts[index] += 1
+    if not counts:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
+    indices = np.array(sorted(counts), dtype=np.int32)
+    values = np.array([counts[i] for i in indices], dtype=np.float64)
+    values *= model.idf[indices]
+    norm = np.sqrt(np.sum(values * values))
+    if norm > 0.0:
+        values /= norm
+    return indices, values
+
+
+def _oracle_transform(model: TfidfModel, doc: TokenStream) -> sp.csr_matrix:
+    indices, values = _oracle_transform_arrays(model, doc)
+    indptr = np.array([0, len(indices)], dtype=np.int32)
+    return sp.csr_matrix((values, indices, indptr), shape=(1, model.width))
+
+
+def _oracle_featurize_pairs_textual(
+    pairs,
+    vectorizers: TextualVectorizers,
+    stopwords: frozenset[str] | None = None,
+) -> sp.csr_matrix:
+    issue_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    commit_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    _, message_offset, code_offset = vectorizers.offsets
+    indptr = [0]
+    all_indices: list[np.ndarray] = []
+    all_values: list[np.ndarray] = []
+    count = 0
+    for issue, commit in pairs:
+        count += 1
+        if issue.issue_id not in issue_cache:
+            doc = issue_doc(issue, stopwords)
+            issue_cache[issue.issue_id] = _oracle_transform_arrays(vectorizers.issue, doc)
+        if commit.commit_hash not in commit_cache:
+            msg_idx, msg_val = _oracle_transform_arrays(
+                vectorizers.message, message_doc(commit, stopwords)
+            )
+            code_idx, code_val = _oracle_transform_arrays(
+                vectorizers.code, code_doc(commit)
+            )
+            commit_cache[commit.commit_hash] = (
+                np.concatenate([msg_idx + message_offset, code_idx + code_offset]),
+                np.concatenate([msg_val, code_val]),
+            )
+        issue_idx, issue_val = issue_cache[issue.issue_id]
+        commit_idx, commit_val = commit_cache[commit.commit_hash]
+        all_indices.append(issue_idx)
+        all_indices.append(commit_idx)
+        all_values.append(issue_val)
+        all_values.append(commit_val)
+        indptr.append(indptr[-1] + len(issue_idx) + len(commit_idx))
+    if all_indices:
+        data = np.concatenate(all_values)
+        indices = np.concatenate(all_indices)
+    else:
+        data = np.empty(0, dtype=np.float64)
+        indices = np.empty(0, dtype=np.int32)
+    return sp.csr_matrix(
+        (data, indices, np.array(indptr, dtype=np.int64)),
+        shape=(count, vectorizers.width),
+    )
+
+
+def _assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# Few short words, so that documents repeat n-grams and rows run from empty
+# to a dozen or more entries; "zz" is never fitted.
+WORDS = st.sampled_from(["apple", "bravo", "cargo", "delta", "eagle", "zz"])
+CODE_TOKENS = st.sampled_from(
+    ["Foo.bar", "OPT_INFO", "addToList", "XOR", "_cmd", "std::env", "plain", "Unf.it"]
+)
+
+
+def _zero_some(model: TfidfModel, draw) -> TfidfModel:
+    """The model, with some idf weights set to zero when drawn."""
+    if not model.width or not draw(st.booleans()):
+        return model
+    idf = model.idf.copy()
+    idf[draw(st.lists(st.integers(0, model.width - 1), max_size=model.width))] = 0.0
+    return replace(model, idf=idf)
+
+
+@st.composite
+def pair_batches(draw):
+    """Issues and commits from a small vocabulary, vectorizers fitted on a
+    prefix of them, and (issue, commit) pairs with repeats, from none to a
+    dozen."""
+    n_issues = draw(st.integers(1, 5))
+    n_commits = draw(st.integers(1, 5))
+    text = st.lists(WORDS, max_size=9).map(" ".join)
+    issues = [
+        make_issue(issue_id=f"I-{i}", summary=draw(text), description=draw(text))
+        for i in range(n_issues)
+    ]
+    commits = [
+        make_commit(
+            tag=f"c{i}",
+            message=draw(text),
+            diff_text=" ".join(draw(st.lists(CODE_TOKENS, max_size=9))),
+        )
+        for i in range(n_commits)
+    ]
+    fitted_issues = issues[: draw(st.integers(0, n_issues))]
+    fitted_commits = commits[: draw(st.integers(0, n_commits))]
+    max_features = draw(st.sampled_from([3, 50]))
+    vectorizers = TextualVectorizers(
+        issue=_zero_some(
+            fit([issue_doc(it, NO_STOPWORDS) for it in fitted_issues],
+                max_features=max_features),
+            draw,
+        ),
+        message=_zero_some(
+            fit([message_doc(c, NO_STOPWORDS) for c in fitted_commits],
+                max_features=max_features),
+            draw,
+        ),
+        code=_zero_some(
+            fit([code_doc(c) for c in fitted_commits], max_features=max_features),
+            draw,
+        ),
+    )
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(issues), st.sampled_from(commits)), max_size=12
+        )
+    )
+    return pairs, vectorizers
+
+
+NO_STOPWORDS: frozenset[str] = frozenset()
+
+
+@settings(max_examples=300)
+@given(pair_batches())
+def test_featurize_matches_per_document_oracle(batch):
+    pairs, vectorizers = batch
+    _assert_same_csr(
+        featurize_pairs_textual(pairs, vectorizers, NO_STOPWORDS),
+        _oracle_featurize_pairs_textual(pairs, vectorizers, NO_STOPWORDS),
+    )
+
+
+@settings(max_examples=200)
+@given(pair_batches())
+def test_transform_and_fit_transform_match_oracle(batch):
+    pairs, vectorizers = batch
+    model = vectorizers.issue
+    docs = [issue_doc(issue, NO_STOPWORDS) for issue, _ in pairs]
+    for doc in docs:
+        _assert_same_csr(transform(model, doc), _oracle_transform(model, doc))
+    if docs:
+        fitted, matrix = fit_transform(docs, max_features=model.max_features)
+        want = sp.vstack([_oracle_transform(fitted, doc) for doc in docs], format="csr")
+        _assert_same_csr(matrix, want)
+
+
+def test_featurize_matches_oracle_on_a_scoring_batch():
+    corpus = synthesize_corpus(seed=11, n_issues=120, n_commits=120)
+    stopwords = load_stopwords()
+    candidates = generate_candidates(corpus, window_days=7)
+    vectorizers = fit_vectorizers(candidates[::2], corpus, stopwords=stopwords)
+    pairs = corpus.pairs(candidates)
+    assert len(pairs) > 200
+    _assert_same_csr(
+        featurize_pairs_textual(pairs, vectorizers, stopwords),
+        _oracle_featurize_pairs_textual(pairs, vectorizers, stopwords),
+    )
+
+
+def test_featurize_of_no_pairs_is_an_empty_matrix():
+    corpus = synthesize_corpus(seed=23, n_issues=20, n_commits=20)
+    candidates = generate_candidates(corpus, window_days=7)
+    vectorizers = fit_vectorizers(candidates, corpus)
+    got = featurize_pairs_textual([], vectorizers)
+    _assert_same_csr(got, _oracle_featurize_pairs_textual([], vectorizers))
+    assert got.shape == (0, vectorizers.width)

@@ -13,6 +13,8 @@ predict_proba builds from them with the per-tree mean and sum.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -450,3 +452,27 @@ def test_grower_matches_reference_grower(case):
     for name, _ in _tree.TREE_ARRAYS:
         _assert_same_bits(getattr(got_tree, name), getattr(want_tree, name))
     _assert_same_bits(got_values, want_values)
+
+
+def test_a_fit_frees_its_column_index_without_the_cyclic_collector():
+    rng = np.random.default_rng(3)
+    X = rng.random((40, 5))
+    y = (X[:, 0] > 0.5).astype(float)
+    indexes = []
+
+    class Recording(ColumnIndex):
+        def __init__(self, X):
+            super().__init__(X)
+            indexes.append(weakref.ref(self))
+
+    for variant in ("decision_tree", "random_forest", "gradient_boosting"):
+        params = LearnerParams(variant=variant, n_trees=3, n_estimators=3)
+        gc.collect()
+        gc.disable()
+        try:
+            with mock.patch("hybrid_linker.learn.ColumnIndex", Recording):
+                train(params, X, y)
+            assert indexes and all(ref() is None for ref in indexes), variant
+        finally:
+            gc.enable()
+        indexes.clear()
