@@ -21,7 +21,6 @@ from .corpus import (
     Corpus,
     Issue,
     SignalParams,
-    _locate_decode_error,
     load_corpus,
     load_corpus_dir,
     save_corpus_dir,
@@ -33,6 +32,7 @@ from .linkgen import (
     balance_candidates,
     generate_candidates,
     read_candidates,
+    tsv_lines,
     write_candidates,
 )
 
@@ -262,8 +262,11 @@ def cmd_evaluate(args, config: Config) -> int:
 def cmd_predict(args, config: Config) -> int:
     model = load_model(args.model)
     corpus = load_corpus_dir(args.corpus)
-    issue = corpus.issue(args.issue)
-    commit = corpus.commit(args.commit)
+    try:
+        issue = corpus.issue(args.issue)
+        commit = corpus.commit(args.commit)
+    except KeyError as exc:
+        raise HybridLinkerError(f"{args.corpus}: {exc.args[0]}") from None
     result = predict_pairs(model, [(issue, commit)])[0]
     print(
         f"{issue.issue_id} {commit.commit_hash} "
@@ -275,25 +278,18 @@ def cmd_predict(args, config: Config) -> int:
 def _read_pairs(path: str, corpus: Corpus) -> list[tuple[Issue, Commit]]:
     """The (issue, commit) records each row of a pairs TSV names."""
     pairs = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line or (lineno == 1 and line == "issue_id\tcommit_hash"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise HybridLinkerError(
-                        f"{path}:{lineno}: expected issue_id<TAB>commit_hash"
-                    )
-                try:
-                    pairs.append((corpus.issue(fields[0]), corpus.commit(fields[1])))
-                except KeyError as exc:
-                    raise HybridLinkerError(
-                        f"{path}:{lineno}: {exc.args[0]}"
-                    ) from None
-    except UnicodeDecodeError:
-        raise HybridLinkerError(_locate_decode_error(path)) from None
+    for lineno, line in tsv_lines(path, HybridLinkerError):
+        if not line or (lineno == 1 and line == "issue_id\tcommit_hash"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise HybridLinkerError(
+                f"{path}:{lineno}: expected issue_id<TAB>commit_hash"
+            )
+        try:
+            pairs.append((corpus.issue(fields[0]), corpus.commit(fields[1])))
+        except KeyError as exc:
+            raise HybridLinkerError(f"{path}:{lineno}: {exc.args[0]}") from None
     return pairs
 
 

@@ -46,15 +46,21 @@ _LAST_SECOND = int(
 
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 timestamp with zone designator to UTC epoch seconds."""
-    if not isinstance(text, str) or not text:
-        raise ValueError(f"timestamp must be a non-empty string, got {text!r}")
-    # datetime.fromisoformat on 3.10 rejects the Z designator.
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
     try:
         moment = datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise ValueError(f"bad timestamp {text!r}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        if not isinstance(text, str) or not text:
+            raise ValueError(
+                f"timestamp must be a non-empty string, got {text!r}"
+            ) from None
+        # datetime.fromisoformat on 3.10 rejects the Z designator. Messages
+        # quote the text as written and give the reason for that text.
+        if not text.endswith(("Z", "z")):
+            raise ValueError(f"bad timestamp {text!r}: {exc}") from None
+        try:
+            moment = datetime.fromisoformat(text[:-1] + "+00:00")
+        except ValueError:
+            raise ValueError(f"bad timestamp {text!r}: {exc}") from None
     if moment.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no zone designator")
     # Whole seconds truncated toward zero, as int(moment.timestamp()) gives
@@ -206,56 +212,78 @@ def _commit_from_record(record: dict, where: str) -> Commit:
     )
 
 
-# The fast builders read every required field with one itemgetter and check
-# the types of all text fields at once. Any fault raises KeyError, TypeError
-# or ValueError, and the record is then rebuilt by the checked builder above,
-# which raises the message that locates the first fault.
-_ISSUE_FIELDS = itemgetter(
+# The fast builders take a decoded record whose fields are all present and
+# well typed, and fill a new instance's __dict__ key by key in field order,
+# skipping the frozen dataclass __init__ and its one object.__setattr__ call
+# per field (Issue and Commit have no slots, defaults or __post_init__).
+# Setting keys one at a time keeps the class's shared-key dict layout, which
+# dict.update from a dict would replace with a larger private table. Any fault
+# raises KeyError, TypeError or ValueError, and the line is then rebuilt by
+# the checked builder above, which raises the message that locates the
+# first fault.
+_ISSUE_TEXT = itemgetter(
     "issue_id", "project", "summary", "description", "raw_type", "raw_status",
-    "reporter", "creator", "created_date", "updated_date",
+    "reporter", "creator",
 )
-_COMMIT_FIELDS = itemgetter(
+_COMMIT_TEXT = itemgetter(
     "commit_hash", "project", "message", "diff_text", "author", "committer",
-    "linked_issue_ids", "author_time_date", "commit_time_date",
 )
 
 
-def _fast_issue(record) -> Issue:
-    fields = _ISSUE_FIELDS(record)
-    if set(map(type, fields[:8])) != {str}:
+def _fast_issue(record: dict) -> Issue:
+    (issue_id, project, summary, description, raw_type, raw_status, reporter,
+     creator) = _ISSUE_TEXT(record)
+    if not (
+        type(issue_id) is type(project) is type(summary) is type(description)
+        is type(raw_type) is type(raw_status) is type(reporter) is type(creator)
+        is str
+    ):
         raise TypeError("text field not a string")
+    created = parse_timestamp(record["created_date"])
+    updated = parse_timestamp(record["updated_date"])
     resolved = record.get("resolved_date")
-    return Issue(
-        issue_id=fields[0],
-        project=fields[1],
-        summary=fields[2],
-        description=fields[3],
-        raw_type=fields[4],
-        raw_status=fields[5],
-        created_date=parse_timestamp(fields[8]),
-        updated_date=parse_timestamp(fields[9]),
-        resolved_date=None if resolved is None else parse_timestamp(resolved),
-        reporter=fields[6],
-        creator=fields[7],
-    )
+    if resolved is not None:
+        resolved = parse_timestamp(resolved)
+    issue = object.__new__(Issue)
+    fields = vars(issue)
+    fields["issue_id"] = issue_id
+    fields["project"] = project
+    fields["summary"] = summary
+    fields["description"] = description
+    fields["raw_type"] = raw_type
+    fields["raw_status"] = raw_status
+    fields["created_date"] = created
+    fields["updated_date"] = updated
+    fields["resolved_date"] = resolved
+    fields["reporter"] = reporter
+    fields["creator"] = creator
+    return issue
 
 
-def _fast_commit(record) -> Commit:
-    fields = _COMMIT_FIELDS(record)
-    linked = fields[6]
-    if type(linked) is not list or set(map(type, (*fields[:6], *linked))) != {str}:
+def _fast_commit(record: dict) -> Commit:
+    commit_hash, project, message, diff_text, author, committer = _COMMIT_TEXT(record)
+    linked = record["linked_issue_ids"]
+    if not (
+        type(commit_hash) is type(project) is type(message) is type(diff_text)
+        is type(author) is type(committer) is str
+        and type(linked) is list
+        and set(map(type, linked)) <= {str}
+    ):
         raise TypeError("text field not a string")
-    return Commit(
-        commit_hash=fields[0],
-        project=fields[1],
-        message=fields[2],
-        diff_text=fields[3],
-        author=fields[4],
-        committer=fields[5],
-        author_time_date=parse_timestamp(fields[7]),
-        commit_time_date=parse_timestamp(fields[8]),
-        linked_issue_ids=tuple(linked),
-    )
+    author_time = parse_timestamp(record["author_time_date"])
+    commit_time = parse_timestamp(record["commit_time_date"])
+    commit = object.__new__(Commit)
+    fields = vars(commit)
+    fields["commit_hash"] = commit_hash
+    fields["project"] = project
+    fields["message"] = message
+    fields["diff_text"] = diff_text
+    fields["author"] = author
+    fields["committer"] = committer
+    fields["author_time_date"] = author_time
+    fields["commit_time_date"] = commit_time
+    fields["linked_issue_ids"] = tuple(linked)
+    return commit
 
 
 def _locate_decode_error(path: Path) -> str:
@@ -276,8 +304,21 @@ def _locate_decode_error(path: Path) -> str:
     return f"{path}: invalid UTF-8"
 
 
+# The scanner json.loads runs, without its BOM and whitespace steps: on a
+# stripped line, a value that ends at the end of the line is what json.loads
+# returns, and anything else makes json.loads raise. (json.loads calls the
+# scanner two frames deeper, so nesting within two levels of the recursion
+# limit, which itself moves with the caller's stack, can decode here only.)
+_decode = json.JSONDecoder().raw_decode
+
+
 def _read_jsonl(path: Path, fast, checked) -> list:
-    """Build each record with fast; one it rejects goes through checked."""
+    """Build each record with fast; a line it cannot take goes through checked.
+
+    fast gets a line that decodes to exactly one JSON object. Every other
+    line, and every record fast rejects, is decoded again with json.loads and
+    built by checked, which raises the located message.
+    """
     records = []
     try:
         with open(path, encoding="utf-8") as handle:
@@ -286,17 +327,17 @@ def _read_jsonl(path: Path, fast, checked) -> list:
                 if not line:
                     continue
                 try:
-                    raw = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: invalid JSON: {exc}"
-                    ) from None
-                try:
-                    records.append(fast(raw))
-                    continue
-                except (KeyError, TypeError, ValueError):
+                    raw, end = _decode(line)
+                    if end == len(line) and type(raw) is dict:
+                        records.append(fast(raw))
+                        continue
+                except (KeyError, TypeError, ValueError, RecursionError):
                     pass
                 where = f"{path}:{lineno}"
+                try:
+                    raw = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from None
                 if not isinstance(raw, dict):
                     raise CorpusFormatError(f"{where}: record must be a JSON object")
                 records.append(checked(raw, where))

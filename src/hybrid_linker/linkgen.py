@@ -165,6 +165,21 @@ def write_candidates(path: str | Path, candidates: list[LinkCandidate]) -> None:
             )
 
 
+def tsv_lines(path: str | Path, error: type[Exception]):
+    """Yield (line number, line) for each line of a UTF-8 text file.
+
+    Lines end at a line feed only, and one carriage return just before it is
+    dropped. A stray carriage return stays inside its line, so line numbers
+    count the same line feeds as the invalid-UTF-8 report, raised as error.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                yield lineno, line.removesuffix("\n").removesuffix("\r")
+    except UnicodeDecodeError:
+        raise error(_locate_decode_error(path)) from None
+
+
 def read_candidates(
     path: str | Path, corpus: Corpus | None = None
 ) -> list[LinkCandidate]:
@@ -172,46 +187,39 @@ def read_candidates(
     path = Path(path)
     candidates: list[LinkCandidate] = []
     first_seen: dict[tuple[str, str], int] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line or (lineno == 1 and line == _HEADER):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 4:
-                    raise CandidateFileError(
-                        f"{path}:{lineno}: expected 4 tab-separated fields, "
-                        f"got {len(fields)}"
-                    )
-                issue_id, commit_hash, label_text, provenance = fields
-                if label_text not in ("0", "1"):
-                    raise CandidateFileError(
-                        f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}"
-                    )
-                pair = (issue_id, commit_hash)
-                if pair in first_seen:
-                    raise CandidateFileError(
-                        f"{path}:{lineno}: duplicate candidate {issue_id!r} "
-                        f"{commit_hash!r} (first seen on line {first_seen[pair]})"
-                    )
-                first_seen[pair] = lineno
-                if corpus is not None:
-                    try:
-                        corpus.issue(issue_id)
-                        corpus.commit(commit_hash)
-                    except KeyError as exc:
-                        raise CandidateFileError(
-                            f"{path}:{lineno}: {exc.args[0]}"
-                        ) from None
-                candidates.append(
-                    LinkCandidate(
-                        issue_id=issue_id,
-                        commit_hash=commit_hash,
-                        label=int(label_text),
-                        provenance=provenance,
-                    )
-                )
-    except UnicodeDecodeError:
-        raise CandidateFileError(_locate_decode_error(path)) from None
+    for lineno, line in tsv_lines(path, CandidateFileError):
+        if not line or (lineno == 1 and line == _HEADER):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise CandidateFileError(
+                f"{path}:{lineno}: expected 4 tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        issue_id, commit_hash, label_text, provenance = fields
+        if label_text not in ("0", "1"):
+            raise CandidateFileError(
+                f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}"
+            )
+        pair = (issue_id, commit_hash)
+        if pair in first_seen:
+            raise CandidateFileError(
+                f"{path}:{lineno}: duplicate candidate {issue_id!r} "
+                f"{commit_hash!r} (first seen on line {first_seen[pair]})"
+            )
+        first_seen[pair] = lineno
+        if corpus is not None:
+            try:
+                corpus.issue(issue_id)
+                corpus.commit(commit_hash)
+            except KeyError as exc:
+                raise CandidateFileError(f"{path}:{lineno}: {exc.args[0]}") from None
+        candidates.append(
+            LinkCandidate(
+                issue_id=issue_id,
+                commit_hash=commit_hash,
+                label=int(label_text),
+                provenance=provenance,
+            )
+        )
     return candidates

@@ -5,6 +5,8 @@ import typing
 import zipfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hybrid_linker.cli import main
 from hybrid_linker.config import Config
@@ -491,3 +493,145 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out.strip()
     assert out and all(part.isdigit() for part in out.split("."))
+
+
+@pytest.mark.parametrize("flag", ["--issue", "--commit"])
+def test_unknown_id_in_predict_exits_one_naming_the_corpus(workspace, capsys, flag):
+    corpus, _, model = _pipeline(workspace, capsys)
+    first = json.loads(
+        (corpus / "commits.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    )
+    ids = {"--issue": first["linked_issue_ids"][0], "--commit": first["commit_hash"]}
+    ids[flag] = "NOPE"
+    code, out, err = _run(
+        capsys, "predict", "--model", model, "--corpus", corpus,
+        "--issue", ids["--issue"], "--commit", ids["--commit"],
+    )
+    assert code == 1
+    assert out == ""
+    kind = "issue id" if flag == "--issue" else "commit hash"
+    assert err.endswith(f"error: {corpus}: unknown {kind} 'NOPE'\n")
+
+
+# Hostile candidate and pair TSVs: a saved file with one fault is run through
+# the CLI. It must load, or exit 1 naming the line the fault is on, counting
+# lines as newline-terminated byte runs, as the invalid-UTF-8 report does.
+
+TINY_LEARNERS = {
+    "textual": {"n_estimators": 3, "max_depth": 3},
+    "nontextual": {
+        variant: {"variant": variant, "n_trees": 3, "max_depth": 3}
+        for variant in FAST_LEARNERS["nontextual"]
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def saved_tsvs(tmp_path_factory):
+    """A directory with a small corpus, its candidate TSV, a pair TSV and a
+    model trained on them."""
+    root = tmp_path_factory.mktemp("tsv")
+    corpus, cands, model = root / "corpus", root / "cands.tsv", root / "m.hlb"
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY_LEARNERS), encoding="utf-8")
+    steps = [
+        ["synth", "--seed", 4, "--issues", 12, "--commits", 12, "--out", corpus],
+        ["gen-links", "--corpus", corpus, "--seed", 4, "--out", cands],
+        ["train", "--config", config, "--corpus", corpus, "--candidates", cands,
+         "--out", model],
+    ]
+    for argv in steps:
+        assert main([str(a) for a in argv]) == 0
+    rows = cands.read_text(encoding="utf-8").splitlines()
+    pairs = root / "pairs.tsv"
+    pairs.write_text(
+        "".join(
+            "\t".join(row.split("\t")[:2]) + "\n"
+            for row in ["issue_id\tcommit_hash", *rows[1:]]
+        ),
+        encoding="utf-8",
+    )
+    return root
+
+
+@st.composite
+def one_fault(draw, text: bytes):
+    """The file with one fault on one line, the line the fault is on, and
+    whether the fault always makes the file invalid."""
+    lines = text.split(b"\n")[:-1]
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    fields = line.split(b"\t")
+    kind = draw(st.sampled_from(
+        ["field", "label", "duplicate", "unknown", "cr", "tab", "utf8"]
+    ))
+    at = draw(st.integers(0, len(line)))
+    located = index + 1
+    if kind == "field":
+        fields = fields[:-1] if draw(st.booleans()) else [*fields, b"extra"]
+        lines[index] = b"\t".join(fields)
+    elif kind == "label":
+        label = draw(st.sampled_from(
+            [b"0", b"1", b"2", b"-1", b"", b"01", b"1.0", b" 1", b"yes"]
+        ))
+        lines[index] = b"\t".join([*fields[:2], label, *fields[3:]])
+    elif kind == "duplicate":
+        lines.insert(index + 1, line)
+        located = index + 2
+    elif kind == "unknown":
+        column = draw(st.integers(0, 1))
+        fields[column] = [b"NOPE-1", b"0" * 40][column]
+        lines[index] = b"\t".join(fields)
+    else:
+        stray = {"cr": b"\r", "tab": b"\t"}.get(kind)
+        if stray is None:
+            stray = draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]))
+        lines[index] = line[:at] + stray + line[at:]
+    must_fail = kind in ("field", "unknown", "tab", "utf8")
+    return b"".join(row + b"\n" for row in lines), located, must_fail
+
+
+def _assert_loads_or_names_the_line(capsys, path, argv, located, must_fail):
+    """Run argv: it exits 0, or 1 with one error line for line located."""
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert code == 1 or not must_fail
+    if code == 1:
+        message = err.splitlines()[-1]
+        assert message.startswith(f"error: {path}:{located}: "), message
+
+
+@settings(
+    max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_mutated_candidate_tsv_loads_or_fails_naming_its_line(
+    saved_tsvs, capsys, data
+):
+    text, located, must_fail = data.draw(
+        one_fault((saved_tsvs / "cands.tsv").read_bytes())
+    )
+    path = saved_tsvs / "mutated-cands.tsv"
+    path.write_bytes(text)
+    argv = ["train", "--config", saved_tsvs / "config.json",
+            "--corpus", saved_tsvs / "corpus", "--candidates", path,
+            "--out", saved_tsvs / "mutated.hlb"]
+    _assert_loads_or_names_the_line(capsys, path, argv, located, must_fail)
+
+
+@settings(
+    max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_mutated_pair_tsv_loads_or_fails_naming_its_line(saved_tsvs, capsys, data):
+    text, located, must_fail = data.draw(
+        one_fault((saved_tsvs / "pairs.tsv").read_bytes())
+    )
+    path = saved_tsvs / "mutated-pairs.tsv"
+    path.write_bytes(text)
+    argv = ["predict-batch", "--model", saved_tsvs / "m.hlb",
+            "--corpus", saved_tsvs / "corpus", "--pairs", path,
+            "--out", saved_tsvs / "scored.tsv"]
+    _assert_loads_or_names_the_line(capsys, path, argv, located, must_fail)

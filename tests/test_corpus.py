@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import pickle
 import re
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -433,3 +435,234 @@ def test_every_single_fault_fails_like_the_checked_builders(kind):
     for case in cases:
         got, want = _read_both_ways(kind, [json.dumps(case)])
         assert got == want, case
+
+
+def _line_variants(kind: str) -> dict[str, list[str]]:
+    """Files whose lines the JSON scanner and json.loads must treat alike."""
+    record = _saved_records()[kind][0]
+    intact = json.dumps(record)
+    deep = "[" * 100_000 + "]" * 100_000
+    nested = "[" * 50 + "]" * 50
+    return {
+        "trailing data": [intact + " x"],
+        "trailing brace": [intact + "}"],
+        "two objects": [intact + intact],
+        "two objects, spaced": [intact + " " + intact],
+        "object then array": [intact + "[]"],
+        "leading BOM": ["\ufeff" + intact],
+        "BOM on a later line": [intact, "\ufeff" + intact],
+        "whitespace-only lines": [" \t ", intact, "\t", "   "],
+        "CRLF lines": [intact + "\r", "\r", intact.replace("SYN", "CRLF") + "\r"],
+        "inner CRLF": [intact[:-1] + ',\r\n"x": 1}'],
+        "deep nesting": [intact[:-1] + f', "x": {deep}}}'],
+        "deep nesting alone": [deep],
+        "shallow nesting in an extra key": [intact[:-1] + f', "x": {nested}}}'],
+        "NaN in a text field": [
+            intact.replace('"project": "synth"', '"project": NaN')
+        ],
+        "Infinity in a text field": [
+            intact.replace('"project": "synth"', '"project": -Infinity')
+        ],
+        "NaN in a time field": [
+            json.dumps({**record, sorted(TIME_FIELDS & set(record))[0]: math.nan})
+        ],
+        "Infinity in a time field": [
+            json.dumps({**record, sorted(TIME_FIELDS & set(record))[0]: math.inf})
+        ],
+        "array": ["[]"],
+        "array of the object": ["[" + intact + "]"],
+        "string": ['"record"'],
+        "number": ["7"],
+        "null": ["null"],
+        "true": ["true"],
+        "duplicate key": [intact[:-1] + ', "project": "other"}'],
+        "duplicate key repairing a wrong one": [
+            intact.replace('"project": "synth"', '"project": 7')[:-1]
+            + ', "project": "synth"}'
+        ],
+        "escaped text": [
+            intact.replace('"project": "synth"', '"project": "sy\\u006eth"')
+        ],
+        "lone surrogate": [
+            intact.replace('"project": "synth"', '"project": "\\ud800"')
+        ],
+        "truncated": [intact[:-1]],
+        "extra key": [intact[:-1] + ', "extra": {"a": [1, 2.5, null]}}'],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_line_level_faults_read_as_json_loads_reads_them(kind):
+    for name, lines in _line_variants(kind).items():
+        got, want = _read_both_ways(kind, lines)
+        assert got == want, name
+
+
+def _checked_and_fast(kind: str):
+    """Pairs of records, each built by the checked builder and the fast one,
+    from saved records and from valid variations of them."""
+    fast, checked = READERS[kind]
+    time_keys = sorted(TIME_FIELDS & set(_saved_records()[kind][0]))
+    variants = []
+    for record in _saved_records()[kind]:
+        variants.append(record)
+        variants.append({**record, "extra": [1, {"a": None}]})
+        variants.append({key: record[key] for key in reversed(list(record))})
+        variants.append({**record, time_keys[0]: "2019-01-01T12:00:00.25-05:30"})
+        variants.append({**record, time_keys[0]: "2019-01-01T00:00:00Z"})
+        variants.append({**record, time_keys[0]: "1969-12-31T23:59:59.5+00:00"})
+    issue = _saved_records()["issues"][0]
+    commit = _saved_records()["commits"][0]
+    if kind == "issues":
+        variants.append({k: v for k, v in issue.items() if k != "resolved_date"})
+        variants.append({**issue, "resolved_date": None})
+        variants.append({**issue, "resolved_date": issue["updated_date"]})
+    else:
+        variants.append({**commit, "linked_issue_ids": []})
+        variants.append({**commit, "linked_issue_ids": ["SYN-1", "SYN-2"]})
+    return [(checked(record, "x"), fast(record)) for record in variants]
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_fast_records_are_the_checked_builders_records(kind):
+    for want, got in _checked_and_fast(kind):
+        names = [field.name for field in dataclasses.fields(want)]
+        assert type(got) is type(want)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert list(vars(got)) == list(vars(want)) == names
+        again = pickle.loads(pickle.dumps(got))
+        assert again == want and list(vars(again)) == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, names[0], "changed")
+
+
+# parse_timestamp as it was before its common case was reordered, kept as the
+# oracle. It differs only in quoting: for text ending in Z or z it quoted the
+# rewritten text, where parse_timestamp quotes the text as written.
+
+
+def _oracle_parse_timestamp(text):
+    if not isinstance(text, str) or not text:
+        raise ValueError(f"timestamp must be a non-empty string, got {text!r}")
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        moment = datetime.fromisoformat(text)
+    except ValueError as exc:
+        raise ValueError(f"bad timestamp {text!r}: {exc}") from None
+    if moment.tzinfo is None:
+        raise ValueError(f"timestamp {text!r} has no zone designator")
+    delta = moment - datetime(1970, 1, 1, tzinfo=timezone.utc)
+    seconds = delta.days * 86400 + delta.seconds
+    if seconds < 0 and delta.microseconds:
+        seconds += 1
+    if not -62135596800 <= seconds <= 253402300799:
+        raise ValueError(f"timestamp {text!r} lies outside UTC years 1 to 9999")
+    return seconds
+
+
+ZONES = [
+    None,
+    timezone.utc,
+    timezone(timedelta(hours=5, minutes=30)),
+    timezone(-timedelta(hours=23, minutes=59)),
+    timezone(timedelta(hours=23, minutes=59, seconds=59)),
+    timezone(-timedelta(microseconds=500_000)),
+]
+
+
+@st.composite
+def timestamp_texts(draw):
+    """ISO-8601 texts around the edges parse_timestamp cares about: zones,
+    fractions, the epoch, the year bounds, Z designators and garbage."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(
+            st.one_of(st.text(max_size=12), st.sampled_from([None, 0, 1.5, []]))
+        )
+    moment = draw(
+        st.one_of(
+            st.datetimes(timezones=st.sampled_from(ZONES)),
+            st.datetimes(
+                min_value=datetime(1969, 12, 31), max_value=datetime(1970, 1, 2),
+                timezones=st.sampled_from(ZONES),
+            ),
+        )
+    )
+    text = moment.isoformat(
+        sep=draw(st.sampled_from("T ")),
+        timespec=draw(st.sampled_from(["auto", "seconds", "milliseconds"])),
+    )
+    ending = draw(st.sampled_from(["as is", "Z", "z", "+Z", "cut"]))
+    if ending in ("Z", "z") and text.endswith("+00:00"):
+        text = text[: -len("+00:00")] + ending
+    elif ending == "+Z":
+        text += "Z"
+    elif ending == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=2000)
+@given(timestamp_texts())
+def test_parse_timestamp_matches_its_oracle(text):
+    got = _outcome(parse_timestamp, text)
+    want = _outcome(_oracle_parse_timestamp, text)
+    if isinstance(text, str) and text.endswith(("Z", "z")):
+        assert type(got) is type(want)
+        if isinstance(want, int):
+            assert got == want
+        else:
+            assert repr(text) in got
+    else:
+        assert got == want
+
+
+def test_z_timestamp_messages_quote_the_text_as_written():
+    for text, reason in [
+        ("2021-13-01T00:00:00Z", "month must be in 1..12"),
+        ("2019-01-01T00:00:00+00:00Z", None),
+        ("2019-01-01T24:00:00z", None),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_timestamp(text)
+        message = str(exc.value)
+        assert message.startswith(f"bad timestamp {text!r}: ")
+        assert text[:-1] + "+00:00" not in message
+        if reason is not None:
+            assert message.endswith(reason)
+    with pytest.raises(
+        ValueError, match=r"^timestamp '2019-01-01Z' has no zone designator$"
+    ):
+        parse_timestamp("2019-01-01Z")
+
+
+def test_z_timestamps_stay_inside_the_utc_year_bounds():
+    # A Z instant is its own UTC instant, so no Z text reaches the
+    # out-of-range message; the bounds themselves load.
+    assert parse_timestamp("0001-01-01T00:00:00Z") == corpus_module._FIRST_SECOND
+    assert parse_timestamp("9999-12-31T23:59:59.999999z") == corpus_module._LAST_SECOND
+
+
+def test_a_z_fault_in_a_file_is_reported_as_written(tmp_path):
+    corpus = synthesize_corpus(seed=3, n_issues=12, n_commits=10)
+    save_corpus_dir(corpus, tmp_path / "corpus")
+    issues_path = tmp_path / "corpus" / "issues.jsonl"
+    lines = issues_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    lines[1] = json.dumps({**record, "created_date": "2021-13-01T00:00:00Z"})
+    issues_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = (
+        "issues.jsonl:2: field 'created_date': bad timestamp "
+        "'2021-13-01T00:00:00Z': month must be in 1..12"
+    )
+    with pytest.raises(CorpusFormatError, match=re.escape(message) + "$"):
+        load_corpus_dir(tmp_path / "corpus")

@@ -293,3 +293,31 @@ def test_candidate_file_rejects_duplicate_rows(tmp_path):
         match=r"cands.tsv:4: duplicate candidate .*\(first seen on line 2\)",
     ):
         read_candidates(path)
+
+
+def test_candidate_file_with_crlf_endings_reads_as_with_lf(tmp_path):
+    cands = [
+        LinkCandidate("I-1", "a" * 40, 1, "linked"),
+        LinkCandidate("I-2", "b" * 40, 0, "window"),
+    ]
+    path = tmp_path / "cands.tsv"
+    write_candidates(path, cands)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_candidates(path) == cands
+
+
+def test_stray_carriage_return_stays_inside_its_line(tmp_path):
+    path = tmp_path / "cands.tsv"
+    path.write_bytes(
+        b"issue_id\tcommit_hash\tlabel\tprovenance\n"
+        b"I-1\tabc\t1\tlin\rked\n"
+        b"I-2\tabc\t\r0\twindow\n"
+    )
+    # The first row keeps its carriage return in the provenance; the second
+    # fails on the line the carriage return is on, not on a line after it.
+    with pytest.raises(
+        CandidateFileError, match=r"cands.tsv:3: label must be 0 or 1, got '\\r0'$"
+    ):
+        read_candidates(path)
+    path.write_bytes(b"I-1\tabc\t1\tlin\rked\n")
+    assert read_candidates(path) == [LinkCandidate("I-1", "abc", 1, "lin\rked")]
