@@ -19,7 +19,11 @@ value 0 into a stacked extended buffer.
 
 A Tree is a packed forest: the node arrays of its trees laid end to end, in
 the layout a model bundle stores. Prediction densifies each chunk of rows
-once and walks every tree of the forest at once.
+once and walks every tree of the forest at once. A zero takes the same
+branch at every node (0.0 <= threshold), the default direction of XGBoost's
+sparsity-aware algorithm, so a sparse row's walk in each tree starts at the
+first node of the tree's all-zero path whose feature the row stores; the
+dense copy of a sparse chunk holds only the columns the forest tests.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ TREE_ARRAYS = (
 # Rows per prediction chunk are capped twice: the dense copy of the chunk
 # holds at most _DENSE_ENTRIES values, and the walk state (one node per tree
 # and row) at most _WALK_ENTRIES, so that scoring a large batch through a
-# learner of hundreds of trees does not raise peak memory.
+# learner of hundreds of trees does not raise peak memory. A CSR chunk's
+# all-zero-path hits number at most one per row and path node, so at most
+# _WALK_ENTRIES times the mean path length, unless rows store duplicates.
 _DENSE_ENTRIES = 4_000_000
 _WALK_ENTRIES = 1 << 16
 
@@ -86,7 +92,10 @@ class Tree:
         """Leaf value of every tree for every row, shape (n_trees, n_rows).
 
         Accepts dense or CSR input, or one dense row. Each chunk of rows is
-        densified once and every tree walks it at the same time.
+        densified once and every tree walks it at the same time. Dense rows
+        start at the roots; a CSR row starts each tree where its stored
+        entries first leave the tree's all-zero path, and its dense copy
+        holds only the columns the forest tests.
         """
         sparse = sp.issparse(X)
         if sparse:
@@ -103,28 +112,98 @@ class Tree:
         base = np.repeat(roots, self.sizes)
         left = self.left + base
         right = self.right + base
+        if sparse:
+            prepare, column = self._sparse_chunks(roots, left, right, width)
+        else:
+            column = self.feature
         chunk = max(
             1, min(_DENSE_ENTRIES // max(1, width), _WALK_ENTRIES // max(1, n_trees))
         )
         for start in range(0, n_rows, chunk):
             block = X[start : start + chunk]
-            if sparse:
-                block = block.toarray()
-            rows = len(block)
+            rows = block.shape[0]
             # Tree-major: entry t * rows + r walks row r down tree t.
-            nodes = np.repeat(roots, rows)
+            if sparse:
+                nodes, block = prepare(block)
+            else:
+                nodes = np.repeat(roots, rows)
             walking = np.flatnonzero(self.feature[nodes] >= 0)
             while walking.size:
                 current = nodes[walking]
                 go_left = (
-                    block[walking % rows, self.feature[current]]
-                    <= self.threshold[current]
+                    block[walking % rows, column[current]] <= self.threshold[current]
                 )
                 step = np.where(go_left, left[current], right[current])
                 nodes[walking] = step
                 walking = walking[self.feature[step] >= 0]
             out[:, start : start + rows] = self.value[nodes].reshape(n_trees, rows)
         return out
+
+    def _sparse_chunks(self, roots, left, right, width):
+        """(prepare, column) for walking CSR chunks.
+
+        prepare maps a chunk to the tree-major nodes its walks start at and
+        its dense copy; column maps each internal node to its feature's
+        column in that copy, which holds only the features the forest tests.
+
+        A zero goes the same way at every node, so each tree has one all-zero
+        path. A row follows it until the first path node whose feature the
+        row stores, or to the path's leaf when it stores none of them; every
+        test above that node sees a zero. Stored zeros and duplicate entries
+        count as stored, which only starts a walk earlier on the path.
+        """
+        n_trees = len(self)
+        internal = self.feature >= 0
+        # slot numbers the tested features in order and marks the rest -1.
+        tested = np.zeros(width, dtype=bool)
+        tested[self.feature[internal]] = True
+        n_tested = int(np.count_nonzero(tested))
+        slot = np.where(tested, np.cumsum(tested) - 1, -1)
+        column = slot[self.feature]
+        # Where a zero goes from each node; a leaf stays where it is.
+        zero_next = np.where(
+            internal, np.where(0.0 <= self.threshold, left, right), np.arange(len(left))
+        )
+        levels = [roots]
+        while internal[levels[-1]].any():
+            levels.append(zero_next[levels[-1]])
+        # Internal path nodes in depth-major order, so that within one tree a
+        # lower position is a shallower node.
+        levels = np.stack(levels)
+        on_path = internal[levels]
+        path_tree = on_path.nonzero()[1]
+        n_path = len(path_tree)
+        # The node each position starts a walk at, then each tree's leaf.
+        node_at = np.concatenate([levels[on_path], levels[-1]])
+        path_feature = self.feature[node_at[:n_path]]
+        # Path positions grouped by feature, ascending within each feature.
+        by_feature = np.argsort(path_feature, kind="stable")
+        per_feature = np.bincount(path_feature, minlength=width)
+        feature_start = np.cumsum(per_feature) - per_feature
+
+        def prepare(block):
+            rows = block.shape[0]
+            cols = block.indices
+            entry_rows = np.repeat(np.arange(rows), np.diff(block.indptr))
+            # One hit per stored entry and path position of its feature.
+            hits = per_feature[cols]
+            n_hits = int(hits.sum())
+            before = np.cumsum(hits) - hits
+            pos = by_feature[
+                np.repeat(feature_start[cols] - before, hits) + np.arange(n_hits)
+            ]
+            hit_rows = np.repeat(entry_rows, hits)
+            # Each walk starts at its tree's leaf slot unless a hit comes first.
+            first = np.repeat(n_path + np.arange(n_trees), rows)
+            np.minimum.at(first, path_tree[pos] * rows + hit_rows, pos)
+            # Entries add up from zero in stored order, as toarray sums them.
+            at = slot[cols]
+            kept = at >= 0
+            dense = np.zeros(rows * n_tested)
+            np.add.at(dense, entry_rows[kept] * n_tested + at[kept], block.data[kept])
+            return node_at[first], dense.reshape(rows, n_tested)
+
+        return prepare, column
 
 
 def pack(trees) -> Tree:

@@ -321,7 +321,9 @@ def _read_jsonl(path: Path, fast, checked) -> list:
     """
     records = []
     try:
-        with open(path, encoding="utf-8") as handle:
+        # Lines end at a line feed only: JSON allows a bare carriage return
+        # as whitespace inside a record.
+        with open(path, encoding="utf-8", newline="\n") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:

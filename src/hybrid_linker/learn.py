@@ -216,26 +216,23 @@ def _train_boosting(params: LearnerParams, X, y) -> TrainedLearner:
     prior = min(max(float(np.mean(y)), 1e-12), 1.0 - 1e-12)
     base = math.log(prior / (1.0 - prior))
     scores = np.full(n, base, dtype=np.float64)
-    losses = [log_loss(y, sigmoid(scores))]
+    p = sigmoid(scores)
+    losses = [log_loss(y, p)]
     regularized = params.variant == "regularized_gradient_boosting"
+    spec = GrowSpec(
+        mode="xgb" if regularized else "mse",
+        max_depth=params.max_depth,
+        min_rows=params.min_rows,
+        lam=params.reg_lambda if regularized else 0.0,
+    )
     trees: list[Tree] = []
     scales: list[float] = []
     for stage in range(params.n_stages):
-        p = sigmoid(scores)
         gradient = y - p
         hessian = p * (1.0 - p)
         if regularized:
-            spec = GrowSpec(
-                mode="xgb",
-                max_depth=params.max_depth,
-                min_rows=params.min_rows,
-                lam=params.reg_lambda,
-            )
             tree, fitted = grow_tree(index, rows, gradient, hessian, ones, spec)
         else:
-            spec = GrowSpec(
-                mode="mse", max_depth=params.max_depth, min_rows=params.min_rows
-            )
             tree, fitted = grow_tree(
                 index, rows, gradient, ones, ones, spec, leaf_den=hessian
             )
@@ -243,7 +240,9 @@ def _train_boosting(params: LearnerParams, X, y) -> TrainedLearner:
         scores += scale * fitted
         trees.append(tree)
         scales.append(scale)
-        losses.append(log_loss(y, sigmoid(scores)))
+        # The next stage's probabilities, computed once for the loss too.
+        p = sigmoid(scores)
+        losses.append(log_loss(y, p))
         if losses[-2] - losses[-1] < EARLY_STOP_TOL:
             break
     return TrainedLearner(

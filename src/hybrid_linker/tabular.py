@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -237,8 +238,9 @@ def fit_encoder(
     )
 
 
-def _epoch_day(epoch_seconds: int) -> float:
-    return epoch_seconds / float(SECONDS_PER_DAY)
+def _epoch_days(records, name: str) -> np.ndarray:
+    seconds = np.array(list(map(attrgetter(name), records)), dtype=np.float64)
+    return seconds / float(SECONDS_PER_DAY)
 
 
 def reduce_status(encoder: TabularEncoder, issue: Issue) -> str:
@@ -250,58 +252,56 @@ def reduce_type(encoder: TabularEncoder, issue: Issue) -> str:
 
 
 def featurize_pairs_tabular(pairs, encoder: TabularEncoder) -> np.ndarray:
-    """Encode (issue, commit) pairs as a dense (n, width) float matrix."""
+    """Encode (issue, commit) pairs as a dense (n, width) float matrix.
+
+    Each attribute is gathered across the pairs once and fills whole columns.
+    """
     pairs = list(pairs)
-    out = np.zeros((len(pairs), encoder.width), dtype=np.float64)
-    resolved_at, gaps_at = encoder.resolved_at, encoder.gaps_at
-    status_at, type_at = encoder.status_at, encoder.type_at
-    identity_index = {
-        column: {ident: i for i, ident in enumerate(encoder.identity_vocabs[column])}
-        for column in encoder.identity_at
-    }
+    issues = [issue for issue, _ in pairs]
+    commits = [commit for _, commit in pairs]
+    n = len(issues)
+    out = np.zeros((n, encoder.width), dtype=np.float64)
+    rows = np.arange(n)
 
-    for row, (issue, commit) in enumerate(pairs):
-        author_day = _epoch_day(commit.author_time_date)
-        commit_day = _epoch_day(commit.commit_time_date)
-        created_day = _epoch_day(issue.created_date)
-        updated_day = _epoch_day(issue.updated_date)
-        out[row, 0] = author_day
-        out[row, 1] = commit_day
-        out[row, 2] = created_day
-        out[row, 3] = updated_day
-        resolved_day = 0.0
-        has_resolved = issue.resolved_date is not None
-        if has_resolved:
-            resolved_day = _epoch_day(issue.resolved_date)
+    author_day = _epoch_days(commits, "author_time_date")
+    commit_day = _epoch_days(commits, "commit_time_date")
+    created_day = _epoch_days(issues, "created_date")
+    updated_day = _epoch_days(issues, "updated_date")
+    out[:, 0] = author_day
+    out[:, 1] = commit_day
+    out[:, 2] = created_day
+    out[:, 3] = updated_day
+    resolved = [issue.resolved_date for issue in issues]
+    missing = np.array([date is None for date in resolved], dtype=bool)
+    resolved_day = np.array(
+        [0 if date is None else date for date in resolved], dtype=np.float64
+    ) / float(SECONDS_PER_DAY)
+    if encoder.include_resolved:
+        out[:, encoder.resolved_at] = resolved_day
+        out[:, encoder.resolved_at + 1] = ~missing
+    if encoder.gap_features:
+        issue_days = [created_day, updated_day]
         if encoder.include_resolved:
-            out[row, resolved_at] = resolved_day
-            out[row, resolved_at + 1] = 1.0 if has_resolved else 0.0
-        if encoder.gap_features:
-            issue_days = [created_day, updated_day]
-            if encoder.include_resolved:
-                # Gap stays 0 when resolved is absent; the presence flag is
-                # there for the model to tell the two cases apart.
-                issue_days.append(resolved_day if has_resolved else None)
-            col = gaps_at
-            for commit_day_value in (author_day, commit_day):
-                for issue_day_value in issue_days:
-                    if issue_day_value is not None:
-                        out[row, col] = abs(commit_day_value - issue_day_value)
-                    col += 1
-        status = reduce_status(encoder, issue)
-        out[row, status_at + STATUS_CLASSES.index(status)] = 1.0
-        type_class = reduce_type(encoder, issue)
-        out[row, type_at + TYPE_CLASSES.index(type_class)] = 1.0
-        values = {
-            "creator": issue.creator,
-            "author": commit.author,
-            "committer": commit.committer,
-            "reporter": issue.reporter,
-        }
-        for column, start in encoder.identity_at.items():
-            index = identity_index[column].get(values[column])
-            if index is None:
-                index = len(encoder.identity_vocabs[column])
-            out[row, start + index] = 1.0
-    return out
+            issue_days.append(resolved_day)
+        # gaps[c, i] is the gap between commit date c and issue date i.
+        commit_days = np.stack([author_day, commit_day])
+        gaps = np.abs(commit_days[:, None] - np.stack(issue_days))
+        if encoder.include_resolved:
+            # Gap stays 0 when resolved is absent; the presence flag is
+            # there for the model to tell the two cases apart.
+            gaps[:, 2, missing] = 0.0
+        n_gaps = 2 * len(issue_days)
+        out[:, encoder.gaps_at : encoder.gaps_at + n_gaps] = gaps.reshape(n_gaps, n).T
 
+    at = [STATUS_CLASSES.index(reduce_status(encoder, issue)) for issue in issues]
+    out[rows, encoder.status_at + np.array(at, dtype=np.intp)] = 1.0
+    at = [TYPE_CLASSES.index(reduce_type(encoder, issue)) for issue in issues]
+    out[rows, encoder.type_at + np.array(at, dtype=np.intp)] = 1.0
+    for column, start in encoder.identity_at.items():
+        vocab = encoder.identity_vocabs[column]
+        index = {ident: i for i, ident in enumerate(vocab)}
+        records = commits if column in ("author", "committer") else issues
+        idents = map(attrgetter(column), records)
+        at = [index.get(ident, len(vocab)) for ident in idents]
+        out[rows, start + np.array(at, dtype=np.intp)] = 1.0
+    return out

@@ -172,6 +172,42 @@ def test_load_reports_file_and_line_for_bad_json(tmp_path):
         load_corpus_dir(tmp_path / "corpus")
 
 
+def _with_bare_carriage_return(line: str) -> str:
+    """The record line with ',\\r ' between its first two members, which JSON
+    reads as whitespace after the comma."""
+    head, sep, tail = line.partition(", ")
+    assert sep
+    return head + ",\r " + tail
+
+
+def test_a_bare_carriage_return_inside_a_record_is_whitespace(tmp_path):
+    corpus = synthesize_corpus(seed=3, n_issues=12, n_commits=10)
+    save_corpus_dir(corpus, tmp_path / "corpus")
+    for name in ("issues.jsonl", "commits.jsonl"):
+        path = tmp_path / "corpus" / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = _with_bare_carriage_return(lines[1])
+        assert json.loads(lines[1]) == json.loads(lines[1].replace("\r", ""))
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    again = load_corpus_dir(tmp_path / "corpus")
+    assert again.issues == corpus.issues
+    assert again.commits == corpus.commits
+
+
+def test_a_fault_after_a_bare_carriage_return_names_its_newline_counted_line(
+    tmp_path,
+):
+    corpus = synthesize_corpus(seed=3, n_issues=12, n_commits=10)
+    save_corpus_dir(corpus, tmp_path / "corpus")
+    issues_path = tmp_path / "corpus" / "issues.jsonl"
+    lines = issues_path.read_text(encoding="utf-8").splitlines()
+    lines[1] = _with_bare_carriage_return(lines[1])
+    lines[2] = "{broken"
+    issues_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with pytest.raises(CorpusFormatError, match=r"issues\.jsonl:3: invalid JSON"):
+        load_corpus_dir(tmp_path / "corpus")
+
+
 def test_load_reports_file_line_and_offset_for_bad_utf8(tmp_path):
     corpus = synthesize_corpus(seed=3, n_issues=12, n_commits=10)
     save_corpus_dir(corpus, tmp_path / "corpus")

@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybrid_linker.linkgen import LinkCandidate, generate_candidates
-from hybrid_linker.corpus import synthesize_corpus
+from hybrid_linker.corpus import SECONDS_PER_DAY, synthesize_corpus
 from hybrid_linker.tabular import (
+    OTHER,
+    STATUS_CLASSES,
+    TYPE_CLASSES,
     CategoryMapError,
+    TabularEncoder,
     featurize_pairs_tabular,
     fit_encoder,
     load_category_maps,
@@ -271,3 +277,135 @@ def test_block_offsets_hold_for_an_identity_named_other(resolved, gaps):
     assert block.sum(axis=1).tolist() == [1.0, 1.0]
     assert block[0, vocab.index("OTHER")] == 1.0  # the identity OTHER
     assert block[1, len(vocab)] == 1.0  # the bucket for unseen identities
+
+
+# The per-pair encoder as it was before columns were filled whole, kept
+# verbatim as the oracle: both must give the same matrix byte for byte.
+
+
+def _epoch_day(epoch_seconds: int) -> float:
+    return epoch_seconds / float(SECONDS_PER_DAY)
+
+
+def _oracle_featurize_pairs_tabular(pairs, encoder: TabularEncoder) -> np.ndarray:
+    """Encode (issue, commit) pairs as a dense (n, width) float matrix."""
+    pairs = list(pairs)
+    out = np.zeros((len(pairs), encoder.width), dtype=np.float64)
+    resolved_at, gaps_at = encoder.resolved_at, encoder.gaps_at
+    status_at, type_at = encoder.status_at, encoder.type_at
+    identity_index = {
+        column: {ident: i for i, ident in enumerate(encoder.identity_vocabs[column])}
+        for column in encoder.identity_at
+    }
+
+    for row, (issue, commit) in enumerate(pairs):
+        author_day = _epoch_day(commit.author_time_date)
+        commit_day = _epoch_day(commit.commit_time_date)
+        created_day = _epoch_day(issue.created_date)
+        updated_day = _epoch_day(issue.updated_date)
+        out[row, 0] = author_day
+        out[row, 1] = commit_day
+        out[row, 2] = created_day
+        out[row, 3] = updated_day
+        resolved_day = 0.0
+        has_resolved = issue.resolved_date is not None
+        if has_resolved:
+            resolved_day = _epoch_day(issue.resolved_date)
+        if encoder.include_resolved:
+            out[row, resolved_at] = resolved_day
+            out[row, resolved_at + 1] = 1.0 if has_resolved else 0.0
+        if encoder.gap_features:
+            issue_days = [created_day, updated_day]
+            if encoder.include_resolved:
+                # Gap stays 0 when resolved is absent; the presence flag is
+                # there for the model to tell the two cases apart.
+                issue_days.append(resolved_day if has_resolved else None)
+            col = gaps_at
+            for commit_day_value in (author_day, commit_day):
+                for issue_day_value in issue_days:
+                    if issue_day_value is not None:
+                        out[row, col] = abs(commit_day_value - issue_day_value)
+                    col += 1
+        status = reduce_status(encoder, issue)
+        out[row, status_at + STATUS_CLASSES.index(status)] = 1.0
+        type_class = reduce_type(encoder, issue)
+        out[row, type_at + TYPE_CLASSES.index(type_class)] = 1.0
+        values = {
+            "creator": issue.creator,
+            "author": commit.author,
+            "committer": commit.committer,
+            "reporter": issue.reporter,
+        }
+        for column, start in encoder.identity_at.items():
+            index = identity_index[column].get(values[column])
+            if index is None:
+                index = len(encoder.identity_vocabs[column])
+            out[row, start + index] = 1.0
+    return out
+
+
+# Instants from year 1 to year 9999, whole days and odd seconds alike.
+SECONDS = st.integers(-62_135_596_800, 253_402_300_799) | st.integers(
+    T0 - 40 * DAY, T0 + 40 * DAY
+)
+# Mapped labels in several cases, and labels the packaged map lacks.
+STATUS_LABELS = st.sampled_from(
+    ["Open", "CLOSED", "resolved", "Won't Fix", "Limbo", ""]
+)
+TYPE_LABELS = st.sampled_from(
+    ["Bug", "improvement", "TASK", "New Feature", "Chore", "?"]
+)
+# Identities in and out of the vocabulary, OTHER included.
+IDENTS = st.sampled_from(["dev-0", "dev-1", "dev-2", OTHER, "stranger", "nobody"])
+VOCAB = st.lists(st.sampled_from(["dev-0", "dev-1", "dev-2", OTHER]), unique=True)
+
+
+@st.composite
+def encoders(draw):
+    include_reporter = draw(st.booleans())
+    columns = ["creator", "author", "committer"] + (
+        ["reporter"] if include_reporter else []
+    )
+    status_map, type_map = load_category_maps()
+    return TabularEncoder(
+        status_map=status_map,
+        type_map=type_map,
+        identity_vocabs={column: tuple(draw(VOCAB)) for column in columns},
+        include_reporter=include_reporter,
+        include_resolved=draw(st.booleans()),
+        gap_features=draw(st.booleans()),
+        identity_top_k=3,
+        redundancy={},
+        unmapped_status={},
+        unmapped_type={},
+    )
+
+
+@st.composite
+def pairs(draw):
+    issue = make_issue(
+        raw_type=draw(TYPE_LABELS),
+        raw_status=draw(STATUS_LABELS),
+        created=draw(SECONDS),
+        updated=draw(SECONDS),
+        resolved=draw(st.none() | SECONDS),
+        reporter=draw(IDENTS),
+        creator=draw(IDENTS),
+    )
+    commit = make_commit(
+        author=draw(IDENTS),
+        committer=draw(IDENTS),
+        author_time=draw(SECONDS),
+        commit_time=draw(SECONDS),
+    )
+    return issue, commit
+
+
+@settings(max_examples=300)
+@given(encoders(), st.lists(pairs(), max_size=8))
+def test_column_encoding_matches_the_per_pair_encoder(encoder, drawn):
+    got = featurize_pairs_tabular(iter(drawn), encoder)
+    want = _oracle_featurize_pairs_tabular(drawn, encoder)
+    assert got.shape == want.shape == (len(drawn), encoder.width)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -6,9 +6,11 @@ np.insert-based grower it replaced, kept verbatim; both must build the same
 trees and training-row values bit for bit.
 
 Tree.predict walks every tree of a packed forest at once over each densified
-chunk of rows. The oracle below walks one tree at a time over the whole dense
-matrix; both must agree bit for bit, and so must the probabilities that
-predict_proba builds from them with the per-tree mean and sum.
+chunk of rows, and starts a sparse row's walks where its stored entries first
+leave each tree's all-zero path. The oracle below walks one tree at a time
+from the root over the whole dense matrix; both must agree bit for bit, and
+so must the probabilities that predict_proba builds from them with the
+per-tree mean and sum.
 """
 
 from __future__ import annotations
@@ -304,26 +306,114 @@ def forests(draw):
     return pack(trees), d
 
 
-@settings(max_examples=200)
+THRESHOLDS = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.25, 0.75, 2.0])
+
+
+@st.composite
+def drawn_trees(draw, width):
+    """One tree of random shape, features and thresholds, in preorder. A
+    negative threshold sends a zero right; every leaf value is distinct."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def node(depth):
+        at = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(at + 0.5)
+        if depth < 6 and draw(st.booleans()):
+            feature[at] = draw(st.integers(0, width - 1))
+            threshold[at] = draw(THRESHOLDS)
+            left[at] = node(depth + 1)
+            right[at] = node(depth + 1)
+        return at
+
+    node(0)
+    return Tree(
+        sizes=np.array([len(feature)], dtype=np.int32),
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
+
+
+@st.composite
+def drawn_forests(draw):
+    """A packed forest of 0 to 5 drawn trees, single leaves included."""
+    width = draw(st.integers(1, 6))
+    trees = draw(st.lists(drawn_trees(width), max_size=5))
+    return pack(trees), width
+
+
+@st.composite
+def csr_matrices(draw, width, min_rows=0, max_rows=12):
+    """CSR rows with explicit stored zeros, duplicate entries and negative
+    values, in unsorted column order within each row."""
+    n = draw(st.integers(min_rows, max_rows))
+    entries = []
+    if n:
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1), VALUES)
+        entries = sorted(draw(st.lists(cell, max_size=4 * n)), key=lambda e: e[0])
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    indices = np.array([e[1] for e in entries], dtype=np.int32)
+    data = np.array([e[2] for e in entries], dtype=np.float64)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, width))
+
+
+def _inputs(width):
+    """Dense rows, their canonical CSR, or CSR rows with stored zeros and
+    duplicate entries."""
+    return st.one_of(
+        matrices(max_rows=12, width=width),
+        matrices(max_rows=12, width=width).map(sp.csr_matrix),
+        csr_matrices(width),
+    )
+
+
+def _oracle(forest, X) -> np.ndarray:
+    dense = X.toarray() if sp.issparse(X) else X
+    leaves = _per_tree_leaves(forest, dense)
+    return np.array(leaves, dtype=np.float64).reshape(len(forest), len(dense))
+
+
+@settings(max_examples=400)
 @given(
-    forests().flatmap(
+    (forests() | drawn_forests()).flatmap(
         lambda built: st.tuples(
             st.just(built[0]),
-            matrices(max_rows=12, width=built[1]),
-            st.booleans(),
+            _inputs(built[1]),
             st.sampled_from([1, 2, 5, 1 << 16]),
         )
     )
 )
 def test_packed_walk_matches_per_tree_walk(case):
-    forest, X, sparse, walk_entries = case
-    want = np.stack(_per_tree_leaves(forest, X))
+    forest, X, walk_entries = case
+    want = _oracle(forest, X)
     # A small walk bound splits even a few rows into several chunks.
     with mock.patch.object(_tree, "_WALK_ENTRIES", walk_entries):
-        got = forest.predict(sp.csr_matrix(X) if sparse else X)
-    assert got.shape == (len(forest), len(X))
+        got = forest.predict(X)
+    assert got.shape == (len(forest), X.shape[0])
     assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100)
+@given(
+    (forests() | drawn_forests()).flatmap(
+        lambda built: st.tuples(st.just(built[0]), csr_matrices(built[1], min_rows=1))
+    )
+)
+def test_one_csr_row_matches_the_same_row_dense(case):
+    forest, X = case
+    for i in range(X.shape[0]):
+        row = X[i]
+        got = forest.predict(row)
+        assert got.tobytes() == forest.predict(row.toarray()[0]).tobytes()
+        assert got.tobytes() == _oracle(forest, row).tobytes()
 
 
 def test_one_dense_row_gives_one_column():
