@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+
+from ._csr import Csr, as_csr, is_sparse
 
 _NEG_INF = -np.inf
 
@@ -91,15 +92,15 @@ class Tree:
     def predict(self, X) -> np.ndarray:
         """Leaf value of every tree for every row, shape (n_trees, n_rows).
 
-        Accepts dense or CSR input, or one dense row. Each chunk of rows is
-        densified once and every tree walks it at the same time. Dense rows
-        start at the roots; a CSR row starts each tree where its stored
-        entries first leave the tree's all-zero path, and its dense copy
-        holds only the columns the forest tests.
+        Accepts dense input, one dense row, or a Csr or SciPy sparse matrix.
+        Each chunk of rows is densified once and every tree walks it at the
+        same time. Dense rows start at the roots; a sparse row starts each
+        tree where its stored entries first leave the tree's all-zero path,
+        and its dense copy holds only the columns the forest tests.
         """
-        sparse = sp.issparse(X)
+        sparse = is_sparse(X)
         if sparse:
-            X = X.tocsr()
+            X = as_csr(X)
         else:
             X = np.asarray(X, dtype=np.float64)
             if X.ndim == 1:
@@ -219,18 +220,22 @@ def pack(trees) -> Tree:
 
 
 class ColumnIndex:
-    """Nonzero triplets of a CSR matrix lexsorted by (column, value)."""
+    """Nonzero triplets of a CSR matrix lexsorted by (column, value).
 
-    def __init__(self, X: sp.csr_matrix):
-        X = X.tocsr().copy()
-        X.eliminate_zeros()
-        coo = X.tocoo()
-        order = np.lexsort((coo.data, coo.col))
-        self.cols = coo.col[order].astype(np.int64)
-        self.vals = coo.data[order].astype(np.float64)
-        self.rows = coo.row[order].astype(np.int64)
-        self.n_rows = X.shape[0]
-        self.n_features = X.shape[1]
+    Stored zeros are dropped; duplicate entries stay, each its own triplet.
+    """
+
+    def __init__(self, X: Csr):
+        X = as_csr(X)
+        keep = X.data != 0
+        cols = X.indices[keep]
+        vals = X.data[keep]
+        rows = X.row_ids()[keep]
+        order = np.lexsort((vals, cols))
+        self.cols = cols[order].astype(np.int64)
+        self.vals = vals[order]
+        self.rows = rows[order]
+        self.n_rows, self.n_features = X.shape
 
 
 def _best_split(

@@ -3,8 +3,9 @@
 Six variants share one parameter record and one training entry point:
 a CART decision tree, a random forest, logistic-loss gradient boosting,
 its lambda-regularized second-order variant, Gaussian naive Bayes, and
-an SGD-trained logistic regression. All of them consume dense or CSR
-feature matrices and binary 0/1 labels and emit a probability for class 1.
+an SGD-trained logistic regression. All of them consume dense feature
+matrices, the package's Csr matrices or SciPy sparse ones (read as a Csr),
+and binary 0/1 labels, and emit a probability for class 1.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import HybridLinkerError, _json
+from ._csr import as_csr, is_sparse
 from ._tree import ColumnIndex, GrowSpec, Tree, grow_tree, pack
 
 VARIANTS = (
@@ -140,8 +141,8 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
 
 
 def _check_training_input(X, y):
-    if sp.issparse(X):
-        X = X.tocsr()
+    if is_sparse(X):
+        X = as_csr(X)
     else:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -158,14 +159,8 @@ def _check_training_input(X, y):
     return X, y
 
 
-def _as_csr(X) -> sp.csr_matrix:
-    if sp.issparse(X):
-        return X.tocsr()
-    return sp.csr_matrix(np.asarray(X, dtype=np.float64))
-
-
 def _train_decision_tree(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = _as_csr(X)
+    Xc = as_csr(X)
     index = ColumnIndex(Xc)
     n = Xc.shape[0]
     ones = np.ones(n, dtype=np.float64)
@@ -180,7 +175,7 @@ def _train_decision_tree(params: LearnerParams, X, y) -> TrainedLearner:
 
 
 def _train_random_forest(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = _as_csr(X)
+    Xc = as_csr(X)
     index = ColumnIndex(Xc)
     n, width = Xc.shape
     n_sub = max(1, int(math.sqrt(width)))
@@ -208,7 +203,7 @@ def _train_random_forest(params: LearnerParams, X, y) -> TrainedLearner:
 
 
 def _train_boosting(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = _as_csr(X)
+    Xc = as_csr(X)
     index = ColumnIndex(Xc)
     n, width = Xc.shape
     rows = np.arange(n)
@@ -253,7 +248,7 @@ def _train_boosting(params: LearnerParams, X, y) -> TrainedLearner:
 
 
 def _train_linear_sgd(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = _as_csr(X)
+    Xc = as_csr(X)
     n, width = Xc.shape
     weights = np.zeros(width, dtype=np.float64)
     bias = 0.0
@@ -278,10 +273,10 @@ def _train_linear_sgd(params: LearnerParams, X, y) -> TrainedLearner:
 
 
 def _train_naive_bayes(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = _as_csr(X)
+    Xc = as_csr(X)
     n, width = Xc.shape
-    sum_all = np.asarray(Xc.sum(axis=0)).ravel()
-    sq_all = np.asarray(Xc.multiply(Xc).sum(axis=0)).ravel()
+    sum_all = Xc.column_sums()
+    sq_all = Xc.squared_column_sums()
     global_var = sq_all / n - (sum_all / n) ** 2
     smoothing = 1e-9 * float(global_var.max()) if width else 0.0
     means = np.zeros((2, width), dtype=np.float64)
@@ -291,8 +286,8 @@ def _train_naive_bayes(params: LearnerParams, X, y) -> TrainedLearner:
         mask = y == cls
         count = int(mask.sum())
         part = Xc[np.flatnonzero(mask)]
-        s = np.asarray(part.sum(axis=0)).ravel()
-        q = np.asarray(part.multiply(part).sum(axis=0)).ravel()
+        s = part.column_sums()
+        q = part.squared_column_sums()
         means[cls] = s / count
         variances[cls] = np.maximum(q / count - means[cls] ** 2, 0.0) + smoothing
         log_prior[cls] = math.log(count / n)
@@ -317,7 +312,7 @@ def train(params: LearnerParams, X, y) -> TrainedLearner:
 
 
 def _nb_predict(model: TrainedLearner, X) -> np.ndarray:
-    Xc = _as_csr(X)
+    Xc = as_csr(X)
     n = Xc.shape[0]
     joint = np.empty((n, 2), dtype=np.float64)
     chunk = max(1, 4_000_000 // max(1, model.width))
@@ -343,8 +338,8 @@ def predict_proba(model, X) -> np.ndarray:
     if isinstance(model, SoftVoteEnsemble):
         stacked = np.stack([predict_proba(m, X) for m in model.members])
         return stacked.mean(axis=0)
-    if sp.issparse(X):
-        X = X.tocsr()
+    if is_sparse(X):
+        X = as_csr(X)
     else:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
@@ -362,7 +357,7 @@ def predict_proba(model, X) -> np.ndarray:
             scores += scale * leaves
         return np.asarray(sigmoid(scores))
     if model.variant == "logistic_regression":
-        Xc = _as_csr(X)
+        Xc = as_csr(X)
         return np.asarray(sigmoid(Xc @ model.weights + model.bias))
     return _nb_predict(model, X)
 

@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._csr import Csr
 from .corpus import Corpus
 from .linkgen import LinkCandidate
 from .textprep import TokenStream, code_doc, issue_doc, message_doc
@@ -91,10 +91,8 @@ def fit(
     )
 
 
-def _transform_rows(
-    blocks: list[tuple[TfidfModel, list[TokenStream]]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices, values) of every block's document vectors.
+def _transform_rows(blocks: list[tuple[TfidfModel, list[TokenStream]]]) -> Csr:
+    """Every block's document vectors as the rows of one matrix.
 
     Each block is a model and its documents. Rows run over the documents of
     each block in turn, and the blocks' columns lie side by side in the same
@@ -103,7 +101,8 @@ def _transform_rows(
     its squares, summed in the order a lone document's would be:
     np.add.reduceat sums in another order and moves bits.
     """
-    width = max(1, sum(model.width for model, _ in blocks))
+    n_cols = sum(model.width for model, _ in blocks)
+    width = max(1, n_cols)
     keys: list[int] = []
     n_rows = offset = 0
     for model, documents in blocks:
@@ -135,28 +134,21 @@ def _transform_rows(
     )
     scale = norms[rows]
     np.divide(values, scale, out=values, where=scale > 0.0)
-    return indptr, cols.astype(np.int32), values
+    return Csr.from_arrays(values, cols, indptr, (n_rows, n_cols))
 
 
-def _rows_matrix(model: TfidfModel, documents: list[TokenStream]) -> sp.csr_matrix:
-    indptr, indices, values = _transform_rows([(model, documents)])
-    return sp.csr_matrix(
-        (values, indices, indptr), shape=(len(documents), model.width)
-    )
-
-
-def transform(model: TfidfModel, doc: TokenStream) -> sp.csr_matrix:
+def transform(model: TfidfModel, doc: TokenStream) -> Csr:
     """Vectorize one document as a 1 x width sparse row."""
-    return _rows_matrix(model, [doc])
+    return _transform_rows([(model, [doc])])
 
 
 def fit_transform(
     documents: list[TokenStream],
     ngram_range: tuple[int, int] = DEFAULT_NGRAM_RANGE,
     max_features: int = DEFAULT_MAX_FEATURES,
-) -> tuple[TfidfModel, sp.csr_matrix]:
+) -> tuple[TfidfModel, Csr]:
     model = fit(documents, ngram_range, max_features)
-    return model, _rows_matrix(model, documents)
+    return model, _transform_rows([(model, documents)])
 
 
 @dataclass(frozen=True)
@@ -208,7 +200,7 @@ def featurize_pairs_textual(
     pairs,
     vectorizers: TextualVectorizers,
     stopwords: frozenset[str] | None = None,
-) -> sp.csr_matrix:
+) -> Csr:
     """Vectorize (issue, commit) pairs into rows of three concatenated blocks.
 
     Each distinct issue and commit is preprocessed once, in first-seen
@@ -236,27 +228,22 @@ def featurize_pairs_textual(
             code_docs.append(code_doc(commit))
         segments += (issue_row, commit_row, commit_row)
 
-    indptr, indices, values = _transform_rows(
+    rows = _transform_rows(
         [
             (vectorizers.issue, issue_docs),
             (vectorizers.message, message_docs),
             (vectorizers.code, code_docs),
         ]
     )
-    # Gather each pair's three row segments, in order, from the rows of all
-    # blocks laid end to end.
+    # Take each pair's three row segments, in order, from the rows of all
+    # blocks laid end to end; every third row boundary then ends a pair.
     n_issues, n_commits = len(issue_docs), len(message_docs)
     segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
     segments += np.array((0, n_issues, n_issues + n_commits))
-    starts = indptr[segments.ravel()]
-    lengths = indptr[segments.ravel() + 1] - starts
-    ends = lengths.cumsum()
-    take = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
-    # scipy takes int32 index arrays as they are but scans int64 ones for
-    # whether they fit int32; both give the same matrix.
-    indptr = np.zeros(len(segments) + 1, np.int32 if len(take) < 2**31 else np.int64)
-    indptr[1:] = ends[2::3]
-    return sp.csr_matrix(
-        (values[take], indices[take], indptr),
-        shape=(len(segments), vectorizers.width),
+    taken = rows[segments.ravel()]
+    return Csr.from_arrays(
+        taken.data,
+        taken.indices,
+        taken.indptr[::3],
+        (len(segments), vectorizers.width),
     )

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import typing
 import zipfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hybrid_linker
 from hybrid_linker.cli import main
 from hybrid_linker.config import Config
 
@@ -635,3 +640,41 @@ def test_mutated_pair_tsv_loads_or_fails_naming_its_line(saved_tsvs, capsys, dat
             "--corpus", saved_tsvs / "corpus", "--pairs", path,
             "--out", saved_tsvs / "scored.tsv"]
     _assert_loads_or_names_the_line(capsys, path, argv, located, must_fail)
+
+
+# Runs the README pipeline in a fresh interpreter and lists the SciPy
+# modules it loaded; the package must need none of them.
+PIPELINE_SCRIPT = """
+import json, sys
+from pathlib import Path
+from hybrid_linker.cli import main
+
+work = Path(sys.argv[1])
+corpus, cands, model = work / "corpus", work / "cands.tsv", work / "m.hlb"
+codes = [
+    main(["synth", "--seed", "1", "--issues", "12", "--commits", "12",
+          "--out", str(corpus)]),
+    main(["gen-links", "--corpus", str(corpus), "--seed", "1", "--out", str(cands)]),
+    main(["train", "--corpus", str(corpus), "--candidates", str(cands),
+          "--seed", "1", "--out", str(model)]),
+]
+issue = json.loads((corpus / "issues.jsonl").read_text().splitlines()[0])
+commit = json.loads((corpus / "commits.jsonl").read_text().splitlines()[0])
+codes.append(main(["predict", "--model", str(model), "--corpus", str(corpus),
+                   "--issue", issue["issue_id"], "--commit", commit["commit_hash"]]))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_pipeline_never_imports_scipy(tmp_path):
+    src = str(Path(hybrid_linker.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", PIPELINE_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "scipy": []}

@@ -111,7 +111,11 @@ def test_transform_matches_fit_transform_rows():
 def test_rows_are_unit_length_or_zero():
     docs = [_stream(d) for d in MICRO_DOCS]
     _, matrix = fit_transform(docs)
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    bounds = matrix.indptr.tolist()
+    norms = [
+        np.sqrt(np.sum(matrix.data[start:stop] ** 2))
+        for start, stop in zip(bounds, bounds[1:])
+    ]
     for doc, norm in zip(MICRO_DOCS, norms):
         if doc:
             assert abs(norm - 1.0) <= 1e-12
