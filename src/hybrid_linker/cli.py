@@ -3,6 +3,11 @@
 Every subcommand prints the effective configuration, seeds included, to
 stderr before doing any work. Exit codes: 0 success, 1 runtime or data
 errors, 2 usage errors (argparse's default).
+
+``main(argv)`` may be called any number of times in one process. The
+argument parser is built on the first call and shared by every later one:
+argparse keeps no state between ``parse_args`` calls, and the handlers look
+up the functions they call in this module's globals each time they run.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import HybridLinkerError, __version__
-from .config import Config, apply_overrides, load_config
+from .config import Config, ConfigError, apply_overrides, load_config
 from .corpus import (
     Commit,
     Corpus,
@@ -49,6 +55,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, help="parallel fold workers")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybrid-linker",
@@ -150,7 +157,11 @@ def _effective_config(args: argparse.Namespace) -> Config:
     config = load_config(args.config) if args.config else Config()
     seed = args.seed
     if seed is None and os.environ.get(SEED_ENV_VAR):
-        seed = int(os.environ[SEED_ENV_VAR])
+        text = os.environ[SEED_ENV_VAR]
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR}: expected int, got {text!r}") from None
     window_days = getattr(args, "window_days", None)
     if window_days is not None and window_days < 0:
         window_days = None

@@ -11,7 +11,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
 
@@ -78,8 +78,7 @@ def parse_timestamp(text: str) -> int:
 
 def format_timestamp(epoch_seconds: int) -> str:
     """Render UTC epoch seconds as an ISO-8601 string with +00:00 zone."""
-    moment = datetime.fromtimestamp(int(epoch_seconds), tz=timezone.utc)
-    return moment.isoformat()
+    return (_EPOCH + timedelta(seconds=int(epoch_seconds))).isoformat()
 
 
 @dataclass(frozen=True)
@@ -454,14 +453,20 @@ def _commit_to_record(commit: Commit) -> dict:
     }
 
 
+# Writes what json.dumps(record, sort_keys=True) writes, without building a
+# new encoder for every record.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def save_corpus(corpus: Corpus, issues_path: str | Path, commits_path: str | Path) -> None:
     """Write a corpus back to JSON Lines files; inverse of load_corpus."""
+    encode = _RECORD_ENCODER.encode
     with open(issues_path, "w", encoding="utf-8") as handle:
         for issue in corpus.issues:
-            handle.write(json.dumps(_issue_to_record(issue), sort_keys=True) + "\n")
+            handle.write(encode(_issue_to_record(issue)) + "\n")
     with open(commits_path, "w", encoding="utf-8") as handle:
         for commit in corpus.commits:
-            handle.write(json.dumps(_commit_to_record(commit), sort_keys=True) + "\n")
+            handle.write(encode(_commit_to_record(commit)) + "\n")
 
 
 def save_corpus_dir(corpus: Corpus, directory: str | Path) -> None:

@@ -6,8 +6,8 @@ time window of the commit dates; restricting the false side to linked
 commits keeps their date distributions comparable.
 
 The window is answered from a date index built once per call: every issue
-date (created, updated and, when present, resolved) sorted with the issue's
-corpus position. Each commit date bisects the inclusive range
+date (created, updated and, when present, resolved) in sorted order, each
+with its issue's corpus position. Each commit date bisects the inclusive range
 ``[date - window, date + window]`` and the hit positions are emitted in
 ascending order, so the output keeps corpus order. This costs
 O(I log I + C log I + output) for I issues and C linked commits instead of
@@ -64,6 +64,19 @@ def within_window(commit: Commit, issue: Issue, window_days: int | None) -> bool
     return False
 
 
+def _candidate(
+    issue_id: str, commit_hash: str, label: int, provenance: str
+) -> LinkCandidate:
+    """A LinkCandidate built without __init__, for a label known to be 0 or 1."""
+    candidate = object.__new__(LinkCandidate)
+    fields = vars(candidate)
+    fields["issue_id"] = issue_id
+    fields["commit_hash"] = commit_hash
+    fields["label"] = label
+    fields["provenance"] = provenance
+    return candidate
+
+
 def generate_candidates(
     corpus: Corpus, window_days: int | None = 7
 ) -> list[LinkCandidate]:
@@ -72,31 +85,30 @@ def generate_candidates(
     For every commit each recorded link becomes a true candidate; for every
     linked commit each other in-window issue becomes a false candidate.
     """
+    issues = corpus.issues
     if window_days is not None:
         limit = window_days * SECONDS_PER_DAY
-        index = sorted(
-            (date, position)
-            for position, issue in enumerate(corpus.issues)
-            for date in _issue_dates(issue)
-        )
-        dates = [date for date, _ in index]
-        owners = [position for _, position in index]
+        dates: list[int] = []
+        owners: list[int] = []
+        for position, issue in enumerate(issues):
+            for date in _issue_dates(issue):
+                dates.append(date)
+                owners.append(position)
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates = [dates[i] for i in order]
+        owners = [owners[i] for i in order]
     candidates: list[LinkCandidate] = []
+    append = candidates.append
     for commit in corpus.commits:
-        for issue_id in commit.linked_issue_ids:
-            corpus.issue(issue_id)  # validated, but keep lookups honest
-            candidates.append(
-                LinkCandidate(
-                    issue_id=issue_id,
-                    commit_hash=commit.commit_hash,
-                    label=1,
-                    provenance="linked",
-                )
-            )
-        if not commit.linked_issue_ids:
+        linked_ids = commit.linked_issue_ids
+        if not linked_ids:
             continue
+        commit_hash = commit.commit_hash
+        for issue_id in linked_ids:
+            corpus.issue(issue_id)  # validated, but keep lookups honest
+            append(_candidate(issue_id, commit_hash, 1, "linked"))
         if window_days is None:
-            positions = range(len(corpus.issues))
+            positions = range(len(issues))
         else:
             hits: set[int] = set()
             for commit_date in (commit.author_time_date, commit.commit_time_date):
@@ -104,18 +116,11 @@ def generate_candidates(
                 hi = bisect_right(dates, commit_date + limit)
                 hits.update(owners[lo:hi])
             positions = sorted(hits)
-        linked = set(commit.linked_issue_ids)
+        linked = set(linked_ids)
         for position in positions:
-            issue_id = corpus.issues[position].issue_id
+            issue_id = issues[position].issue_id
             if issue_id not in linked:
-                candidates.append(
-                    LinkCandidate(
-                        issue_id=issue_id,
-                        commit_hash=commit.commit_hash,
-                        label=0,
-                        provenance="window",
-                    )
-                )
+                append(_candidate(issue_id, commit_hash, 0, "window"))
     return candidates
 
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hybrid_linker
-from hybrid_linker.cli import main
+from hybrid_linker.cli import build_parser, main
 from hybrid_linker.config import Config
 
 FAST_LEARNERS = {
@@ -211,6 +211,19 @@ def test_seed_env_default(workspace, capsys, monkeypatch):
     assert code == 0
     echoed = json.loads(err.split("effective-config ", 1)[1].splitlines()[0])
     assert echoed["seed"] == 77
+
+
+def test_non_integer_seed_env_exits_one_naming_the_variable(
+    workspace, capsys, monkeypatch
+):
+    monkeypatch.setenv("HYBRID_LINKER_SEED", "abc")
+    code, out, err = _run(
+        capsys, "synth", "--issues", 3, "--commits", 2, "--out", workspace / "d"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: HYBRID_LINKER_SEED: expected int, got 'abc'\n"
+    assert not (workspace / "d").exists()
 
 
 def test_missing_file_exits_one(workspace, capsys):
@@ -490,6 +503,81 @@ def test_bad_arguments_exit_two(workspace, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen-links", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+# At least one argv per subcommand, with every option of each given once.
+_ARGV_SAMPLES = [
+    ["ingest", "--issues", "i.jsonl", "--commits", "c.jsonl", "--out", "d"],
+    ["synth", "--issues", "3", "--commits", "2", "--out", "d"],
+    [
+        "synth", "--config", "c.json", "--seed", "5", "--jobs", "2",
+        "--issues", "3", "--commits", "2", "--lexical", "0.5",
+        "--temporal", "0.25", "--density", "0.75", "--out", "d",
+    ],
+    ["gen-links", "--corpus", "d", "--out", "x.tsv"],
+    [
+        "gen-links", "--corpus", "d", "--window-days", "-1", "--no-balance",
+        "--balance-seed", "9", "--out", "x.tsv",
+    ],
+    [
+        "train", "--corpus", "d", "--candidates", "x.tsv", "--out", "m.hlb",
+        "--threshold", "0.4", "--alpha-step", "0.1",
+    ],
+    ["evaluate", "--corpus", "d", "--candidates", "x.tsv"],
+    [
+        "evaluate", "--corpus", "d", "--candidates", "x.tsv", "--k", "3",
+        "--ablation", "--tune-on", "test", "--stratified", "--threshold", "0.6",
+        "--alpha-step", "0.2", "--out", "r.json",
+    ],
+    ["predict", "--model", "m.hlb", "--corpus", "d", "--issue", "I-1",
+     "--commit", "abc"],
+    ["predict-batch", "--model", "m.hlb", "--corpus", "d", "--pairs", "p.tsv"],
+    ["predict-batch", "--model", "m.hlb", "--corpus", "d", "--pairs", "p.tsv",
+     "--out", "o.tsv"],
+]
+
+
+def test_argv_samples_cover_every_subcommand():
+    commands = build_parser.__wrapped__()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in _ARGV_SAMPLES} == set(commands)
+
+
+@pytest.mark.parametrize("argv", _ARGV_SAMPLES, ids=lambda argv: argv[0])
+def test_shared_parser_parses_like_a_fresh_one(argv):
+    expected = vars(build_parser.__wrapped__().parse_args(argv))
+    shared = build_parser()
+    for other in _ARGV_SAMPLES:  # earlier parses leave nothing behind
+        shared.parse_args(other)
+    assert vars(shared.parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["synth", "--issues", "many", "--commits", "2", "--out", "d"],
+        ["synth", "--commits", "2", "--out", "d"],
+        ["gen-links", "--corpus", "d", "--out", "x.tsv", "--no-such-flag"],
+        ["evaluate", "--corpus", "d", "--candidates", "x", "--tune-on", "train"],
+        ["frobnicate"],
+        [],
+    ],
+)
+def test_usage_error_leaves_the_next_call_unchanged(workspace, capsys, bad):
+    valid = ["synth", "--seed", 3, "--issues", 6, "--commits", 5,
+             "--out", workspace / "corpus"]
+    alone = _run(capsys, *valid)
+    with pytest.raises(SystemExit) as fresh_exit:
+        build_parser.__wrapped__().parse_args(bad)
+    fresh = capsys.readouterr()
+    with pytest.raises(SystemExit) as shared_exit:
+        main(bad)
+    assert shared_exit.value.code == fresh_exit.value.code == 2
+    assert capsys.readouterr() == fresh
+    assert _run(capsys, *valid) == alone
 
 
 def test_version_flag(capsys):

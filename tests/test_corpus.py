@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_linker import corpus as corpus_module
@@ -49,6 +49,22 @@ def test_parse_timestamp_rejects_naive_and_garbage():
 def test_timestamp_round_trip():
     for epoch in (T0, T0 + 12345, T0 + 400 * DAY):
         assert parse_timestamp(format_timestamp(epoch)) == epoch
+
+
+def _stamp(seconds):
+    """The reference rendering of UTC epoch seconds, via fromtimestamp."""
+    return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat()
+
+
+@given(
+    st.integers(corpus_module._FIRST_SECOND, corpus_module._LAST_SECOND)
+)
+@example(corpus_module._FIRST_SECOND)
+@example(corpus_module._LAST_SECOND)
+@example(-1)
+@example(0)
+def test_format_timestamp_matches_fromtimestamp(seconds):
+    assert format_timestamp(seconds) == _stamp(seconds)
 
 
 def test_timestamps_at_the_utc_year_bounds_round_trip():
@@ -159,6 +175,58 @@ def test_save_load_round_trip(tmp_path):
     assert again.project == corpus.project
     assert again.issues == corpus.issues
     assert again.commits == corpus.commits
+
+
+def test_saved_lines_equal_json_dumps_of_each_record(tmp_path):
+    text = 'Überlauf — "quoted" \\ back\tslash \x00 \u2028 ☃ 🐛'
+    issues = [
+        make_issue(issue_id="I-ü", summary=text, description="naïve", resolved=None),
+        make_issue(issue_id="I-2", reporter="Zoë", resolved=T0 + 3 * DAY),
+    ]
+    commits = [
+        make_commit(tag="a", message=text, author="José", linked=("I-ü", "I-2")),
+        make_commit(tag="b", diff_text="+ été\r\n"),
+    ]
+    save_corpus_dir(make_corpus(issues, commits), tmp_path)
+    issue_records = [
+        {
+            "issue_id": i.issue_id,
+            "project": i.project,
+            "summary": i.summary,
+            "description": i.description,
+            "raw_type": i.raw_type,
+            "raw_status": i.raw_status,
+            "created_date": _stamp(i.created_date),
+            "updated_date": _stamp(i.updated_date),
+            "resolved_date": None
+            if i.resolved_date is None
+            else _stamp(i.resolved_date),
+            "reporter": i.reporter,
+            "creator": i.creator,
+        }
+        for i in issues
+    ]
+    commit_records = [
+        {
+            "commit_hash": c.commit_hash,
+            "project": c.project,
+            "message": c.message,
+            "diff_text": c.diff_text,
+            "author": c.author,
+            "committer": c.committer,
+            "author_time_date": _stamp(c.author_time_date),
+            "commit_time_date": _stamp(c.commit_time_date),
+            "linked_issue_ids": list(c.linked_issue_ids),
+        }
+        for c in commits
+    ]
+    for name, records in (
+        ("issues.jsonl", issue_records),
+        ("commits.jsonl", commit_records),
+    ):
+        written = (tmp_path / name).read_bytes().decode("utf-8")
+        expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        assert written == expected
 
 
 def test_load_reports_file_and_line_for_bad_json(tmp_path):

@@ -158,6 +158,18 @@ def test_date_index_matches_within_window_scan(case):
     )
 
 
+@given(_windowed_corpora())
+def test_generated_candidates_equal_constructed_ones(case):
+    corpus, window = case
+    for cand in generate_candidates(corpus, window_days=window):
+        label = {"linked": 1, "window": 0}[cand.provenance]
+        built = LinkCandidate(cand.issue_id, cand.commit_hash, label, cand.provenance)
+        assert cand == built
+        assert hash(cand) == hash(built)
+        assert repr(cand) == repr(built)
+        assert vars(cand) == vars(built)
+
+
 def test_window_boundary_is_inclusive():
     issue = make_issue(created=T0, updated=T0)
     exact = make_commit(author_time=T0 + 7 * DAY, commit_time=T0 + 7 * DAY)
