@@ -23,7 +23,10 @@ once and walks every tree of the forest at once. A zero takes the same
 branch at every node (0.0 <= threshold), the default direction of XGBoost's
 sparsity-aware algorithm, so a sparse row's walk in each tree starts at the
 first node of the tree's all-zero path whose feature the row stores; the
-dense copy of a sparse chunk holds only the columns the forest tests.
+dense copy of a sparse chunk holds only the columns the forest tests. The
+learners ask for each row's scaled sum of leaf values, added up chunk by
+chunk, so scoring holds one chunk's walk and one value per row, whatever
+the number of rows.
 """
 
 from __future__ import annotations
@@ -58,12 +61,14 @@ TREE_ARRAYS = (
 
 # Rows per prediction chunk are capped twice: the dense copy of the chunk
 # holds at most _DENSE_ENTRIES values, and the walk state (one node per tree
-# and row) at most _WALK_ENTRIES, so that scoring a large batch through a
-# learner of hundreds of trees does not raise peak memory. A CSR chunk's
-# all-zero-path hits number at most one per row and path node, so at most
-# _WALK_ENTRIES times the mean path length, unless rows store duplicates.
+# and row) at most _WALK_ENTRIES, unless one row alone exceeds a cap. Each
+# walk position costs about 50 bytes of index and value temporaries per
+# level, so a chunk walks in under 1 MiB; with scales, only one sum per row
+# outlives its chunk. A CSR chunk's all-zero-path hits number at most one
+# per row and path node, so at most _WALK_ENTRIES times the mean path
+# length, unless rows store duplicates.
 _DENSE_ENTRIES = 4_000_000
-_WALK_ENTRIES = 1 << 16
+_WALK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -89,8 +94,14 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict(self, X) -> np.ndarray:
-        """Leaf value of every tree for every row, shape (n_trees, n_rows).
+    def predict(self, X, scales=None, base: float = 0.0) -> np.ndarray:
+        """Leaf values of every tree for every row, or their scaled sum.
+
+        With scales None the result is each tree's leaf value for each row,
+        shape (n_trees, n_rows). With one scale per tree it is, per row,
+        base + scales[0] * leaf_0 + scales[1] * leaf_1 + ..., added in tree
+        order one chunk of rows at a time, so that memory does not grow
+        with the number of rows.
 
         Accepts dense input, one dense row, or a Csr or SciPy sparse matrix.
         Each chunk of rows is densified once and every tree walks it at the
@@ -107,14 +118,24 @@ class Tree:
                 X = X.reshape(1, -1)
         n_rows, width = X.shape
         n_trees = len(self)
-        out = np.empty((n_trees, n_rows), dtype=np.float64)
-        roots = np.cumsum(self.sizes, dtype=np.int64) - self.sizes
-        # Children as indices into the packed arrays.
-        base = np.repeat(roots, self.sizes)
-        left = self.left + base
-        right = self.right + base
+        if scales is None:
+            out = np.empty((n_trees, n_rows), dtype=np.float64)
+        elif n_trees == 0:
+            return np.full(n_rows, base, dtype=np.float64)
+        else:
+            scales = np.asarray(scales, dtype=np.float64).reshape(n_trees, 1)
+            out = np.empty(n_rows, dtype=np.float64)
+        roots = np.cumsum(self.sizes, dtype=np.intp) - self.sizes
+        # children[2 * node + went_right] is the next node, as an index into
+        # the packed arrays.
+        children = np.empty((self.n_nodes, 2), dtype=np.intp)
+        offset = np.repeat(roots, self.sizes)
+        np.add(self.left, offset, out=children[:, 0])
+        np.add(self.right, offset, out=children[:, 1])
+        children = children.reshape(-1)
+        internal = self.feature >= 0
         if sparse:
-            prepare, column = self._sparse_chunks(roots, left, right, width)
+            prepare, column = self._sparse_chunks(roots, children, internal, width)
         else:
             column = self.feature
         chunk = max(
@@ -128,19 +149,33 @@ class Tree:
                 nodes, block = prepare(block)
             else:
                 nodes = np.repeat(roots, rows)
-            walking = np.flatnonzero(self.feature[nodes] >= 0)
+            walking = np.flatnonzero(internal[nodes])
             while walking.size:
                 current = nodes[walking]
-                go_left = (
-                    block[walking % rows, column[current]] <= self.threshold[current]
-                )
-                step = np.where(go_left, left[current], right[current])
+                x = block[walking % rows, column[current]]
+                # NaN fails every test and goes right.
+                went_right = ~(x <= self.threshold[current])
+                step = children[2 * current + went_right]
                 nodes[walking] = step
-                walking = walking[self.feature[step] >= 0]
-            out[:, start : start + rows] = self.value[nodes].reshape(n_trees, rows)
+                walking = walking[internal[step]]
+            leaves = self.value[nodes].reshape(n_trees, rows)
+            if scales is None:
+                out[:, start : start + rows] = leaves
+            else:
+                leaves *= scales
+                leaves[0] += base
+                # numpy adds several rows' leaves row by row, in tree order,
+                # but a single row's pairwise, which rounds differently. A
+                # start of -0.0 adds nothing to any value.
+                if rows > 1:
+                    out[start : start + rows] = np.add.reduce(
+                        leaves, axis=0, initial=-0.0
+                    )
+                else:
+                    out[start] = np.add.accumulate(leaves[:, 0])[-1]
         return out
 
-    def _sparse_chunks(self, roots, left, right, width):
+    def _sparse_chunks(self, roots, children, internal, width):
         """(prepare, column) for walking CSR chunks.
 
         prepare maps a chunk to the tree-major nodes its walks start at and
@@ -154,7 +189,6 @@ class Tree:
         count as stored, which only starts a walk earlier on the path.
         """
         n_trees = len(self)
-        internal = self.feature >= 0
         # slot numbers the tested features in order and marks the rest -1.
         tested = np.zeros(width, dtype=bool)
         tested[self.feature[internal]] = True
@@ -162,8 +196,9 @@ class Tree:
         slot = np.where(tested, np.cumsum(tested) - 1, -1)
         column = slot[self.feature]
         # Where a zero goes from each node; a leaf stays where it is.
+        node_ids = np.arange(self.n_nodes)
         zero_next = np.where(
-            internal, np.where(0.0 <= self.threshold, left, right), np.arange(len(left))
+            internal, children[2 * node_ids + ~(0.0 <= self.threshold)], node_ids
         )
         levels = [roots]
         while internal[levels[-1]].any():

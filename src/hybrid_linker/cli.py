@@ -162,6 +162,8 @@ def _effective_config(args: argparse.Namespace) -> Config:
             seed = int(text)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR}: expected int, got {text!r}") from None
+        if seed < 0:
+            raise ConfigError(f"{SEED_ENV_VAR}: must be non-negative, got {seed}")
     window_days = getattr(args, "window_days", None)
     if window_days is not None and window_days < 0:
         window_days = None

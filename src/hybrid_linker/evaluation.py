@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._pcg import Generator
 from .config import Config
 from .corpus import Corpus
 from .hybrid import (
@@ -57,7 +58,7 @@ def kfold(
         raise ValueError("k must be at least 2")
     if n_items < k:
         raise ValueError(f"cannot make {k} folds from {n_items} items")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     if stratified:
         if labels is None:
             raise ValueError("stratified folds need labels")
@@ -70,7 +71,7 @@ def kfold(
                 parts[fold_index].append(chunk)
         tests = [np.concatenate(chunks) for chunks in parts]
     else:
-        order = rng.permutation(n_items)
+        order = np.array(rng.permutation(n_items), dtype=np.int64)
         tests = list(np.array_split(order, k))
     folds = []
     for fold_index in range(k):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import HybridLinkerError, _json
 from ._json import DecodeError
+from ._pcg import Generator
 from .config import Config
 from .corpus import Commit, Corpus, Issue
 from .linkgen import LinkCandidate
@@ -228,8 +229,7 @@ def train_hybrid(
     stopwords = load_stopwords(config.stopwords_path)
 
     n = len(candidates)
-    rng = np.random.default_rng(config.resolved_split_seed())
-    order = rng.permutation(n)
+    order = Generator(config.resolved_split_seed()).permutation(n)
     n_fit = min(n - 1, max(1, int(round(0.8 * n))))
     fit_idx = order[:n_fit]
     val_idx = order[n_fit:]
@@ -521,7 +521,7 @@ class _BundleReader:
                 fail(field, f"position {int(np.argmax(broken))}: {problem}")
 
         sizes = trees.sizes
-        # predict_proba zips trees with tree_scales and would drop extras.
+        # predict_proba scales each tree by its tree_scales entry.
         scales = len(model.tree_scales)
         if not 0 < len(sizes) == scales:
             fail("sizes", f"{len(sizes)} trees, but {scales} tree scales")

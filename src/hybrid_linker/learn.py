@@ -18,6 +18,7 @@ import numpy as np
 
 from . import HybridLinkerError, _json
 from ._csr import as_csr, is_sparse
+from ._pcg import Generator
 from ._tree import ColumnIndex, GrowSpec, Tree, grow_tree, pack
 
 VARIANTS = (
@@ -252,7 +253,7 @@ def _train_linear_sgd(params: LearnerParams, X, y) -> TrainedLearner:
     n, width = Xc.shape
     weights = np.zeros(width, dtype=np.float64)
     bias = 0.0
-    rng = np.random.default_rng(params.seed)
+    rng = Generator(params.seed)
     indptr, indices, data = Xc.indptr, Xc.indices, Xc.data
     step_count = 1
     for _ in range(params.epochs):
@@ -349,12 +350,15 @@ def predict_proba(model, X) -> np.ndarray:
             f"feature width {X.shape[1]} does not match model width {model.width}"
         )
     if model.variant in ("decision_tree", "random_forest"):
-        return model.trees.predict(X).mean(axis=0)
+        # numpy's mean sums one row's leaves pairwise, and several rows'
+        # from 0.0 in tree order, as the scaled walk does.
+        if X.shape[0] == 1:
+            return model.trees.predict(X).mean(axis=0)
+        n_trees = len(model.trees)
+        return model.trees.predict(X, np.ones(n_trees)) / n_trees
     if model.variant in ("gradient_boosting", "regularized_gradient_boosting"):
-        scores = np.full(X.shape[0], model.base_score, dtype=np.float64)
         # Added one tree at a time in tree order; float sums depend on order.
-        for leaves, scale in zip(model.trees.predict(X), model.tree_scales):
-            scores += scale * leaves
+        scores = model.trees.predict(X, model.tree_scales, model.base_score)
         return np.asarray(sigmoid(scores))
     if model.variant == "logistic_regression":
         Xc = as_csr(X)

@@ -226,6 +226,26 @@ def test_non_integer_seed_env_exits_one_naming_the_variable(
     assert not (workspace / "d").exists()
 
 
+def test_negative_seed_env_exits_one_naming_the_variable_and_value(
+    workspace, capsys, monkeypatch
+):
+    monkeypatch.setenv("HYBRID_LINKER_SEED", "-5")
+    code, out, err = _run(
+        capsys, "synth", "--issues", 3, "--commits", 2, "--out", workspace / "d"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: HYBRID_LINKER_SEED: must be non-negative, got -5\n"
+    assert not (workspace / "d").exists()
+    # A negative --seed keeps the config field's message.
+    code, out, err = _run(
+        capsys, "synth", "--seed", -5, "--issues", 3, "--commits", 2,
+        "--out", workspace / "d",
+    )
+    assert (code, out, err) == (1, "", "error: seed: must be non-negative\n")
+    assert not (workspace / "d").exists()
+
+
 def test_missing_file_exits_one(workspace, capsys):
     code, _, err = _run(
         capsys, "gen-links", "--corpus", workspace / "nowhere", "--seed", 1,
@@ -730,39 +750,76 @@ def test_mutated_pair_tsv_loads_or_fails_naming_its_line(saved_tsvs, capsys, dat
     _assert_loads_or_names_the_line(capsys, path, argv, located, must_fail)
 
 
-# Runs the README pipeline in a fresh interpreter and lists the SciPy
-# modules it loaded; the package must need none of them.
+# Runs every pipeline stage in a fresh interpreter and lists the SciPy and
+# numpy.random modules it loaded, then trains a random forest, the one
+# learner that draws from numpy.random.
 PIPELINE_SCRIPT = """
 import json, sys
 from pathlib import Path
 from hybrid_linker.cli import main
 
+def loaded(package):
+    return sorted(name for name in sys.modules if name.startswith(package))
+
 work = Path(sys.argv[1])
 corpus, cands, model = work / "corpus", work / "cands.tsv", work / "m.hlb"
+pairs = work / "pairs.tsv"
 codes = [
     main(["synth", "--seed", "1", "--issues", "12", "--commits", "12",
           "--out", str(corpus)]),
     main(["gen-links", "--corpus", str(corpus), "--seed", "1", "--out", str(cands)]),
     main(["train", "--corpus", str(corpus), "--candidates", str(cands),
           "--seed", "1", "--out", str(model)]),
+    main(["evaluate", "--corpus", str(corpus), "--candidates", str(cands),
+          "--seed", "1", "--k", "3", "--ablation", "--stratified",
+          "--out", str(work / "report.json")]),
 ]
 issue = json.loads((corpus / "issues.jsonl").read_text().splitlines()[0])
 commit = json.loads((corpus / "commits.jsonl").read_text().splitlines()[0])
 codes.append(main(["predict", "--model", str(model), "--corpus", str(corpus),
                    "--issue", issue["issue_id"], "--commit", commit["commit_hash"]]))
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": loaded}))
+pairs.write_text(
+    "issue_id\\tcommit_hash\\n" + issue["issue_id"] + "\\t" + commit["commit_hash"] + "\\n"
+)
+codes.append(main(["predict-batch", "--model", str(model), "--corpus", str(corpus),
+                   "--pairs", str(pairs), "--out", str(work / "scored.tsv")]))
+default = {"scipy": loaded("scipy"), "numpy_random": loaded("numpy.random")}
+(work / "rf.json").write_text(json.dumps({"nontextual_kind": "RF+XGB"}))
+codes.append(main(["train", "--config", str(work / "rf.json"), "--corpus", str(corpus),
+                   "--candidates", str(cands), "--seed", "1",
+                   "--out", str(work / "rf.hlb")]))
+print(json.dumps({"codes": codes, **default, "rf_numpy_random": loaded("numpy.random")}))
 """
 
 
-def test_pipeline_never_imports_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    """The modules PIPELINE_SCRIPT saw loaded, and those plain numpy loads."""
     src = str(Path(hybrid_linker.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     done = subprocess.run(
-        [sys.executable, "-c", PIPELINE_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", PIPELINE_SCRIPT, str(tmp_path_factory.mktemp("run"))],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "scipy": []}
+    numpy_only = subprocess.run(
+        [sys.executable, "-c", "import json, sys, numpy; print(json.dumps("
+         "sorted(m for m in sys.modules if m.startswith('numpy.random'))))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1]), json.loads(numpy_only.stdout)
+
+
+def test_pipeline_never_imports_scipy(pipeline_run):
+    result, _ = pipeline_run
+    assert result["codes"] == [0] * 7
+    assert result["scipy"] == []
+
+
+def test_only_random_forests_load_numpy_random(pipeline_run):
+    result, numpy_only = pipeline_run
+    assert result["codes"] == [0] * 7
+    # NumPy 1.x loads numpy.random with numpy itself; 2.x on first use.
+    assert set(result["numpy_random"]) <= set(numpy_only)
+    assert "numpy.random" in result["rf_numpy_random"]

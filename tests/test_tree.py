@@ -16,17 +16,25 @@ per-tree mean and sum.
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_linker import _tree
+from hybrid_linker._csr import as_csr
 from hybrid_linker._tree import ColumnIndex, GrowSpec, Tree, grow_tree, pack
-from hybrid_linker.learn import LearnerParams, predict_proba, sigmoid, train
+from hybrid_linker.learn import (
+    LearnerParams,
+    TrainedLearner,
+    predict_proba,
+    sigmoid,
+    train,
+)
 
 # Few distinct values, zeros and negatives included, so that grown trees see
 # ties, implicit zeros and splits on both sides of zero.
@@ -427,6 +435,122 @@ def test_one_dense_row_gives_one_column():
     got = forest.predict(X[4])
     assert got.shape == (2, 1)
     assert got.tobytes() == np.stack(_per_tree_leaves(forest, X[4:5])).tobytes()
+
+
+# Scales and leaf values with both zeros, so that a sum started from the
+# wrong zero shows its sign.
+SCALARS = st.sampled_from([-0.0, 0.0, 1.0, 0.1, -2.5, 1e-300, 3.0e8])
+
+
+@st.composite
+def scaled_cases(draw):
+    """A forest of up to 20 trees with redrawn leaf values, rows (NaN
+    included), one scale per tree, a base, and chunk caps small enough to
+    split a few rows into many chunks.
+
+    Past eight terms numpy may sum pairwise, so the forest can be long
+    enough to show a sum taken in another order.
+    """
+    forest, width = draw(forests() | drawn_forests())
+    forest = pack([forest] * draw(st.integers(1, 4)))
+    forest.value = np.array(
+        draw(st.lists(SCALARS, min_size=forest.n_nodes, max_size=forest.n_nodes)),
+        dtype=np.float64,
+    )
+    X = draw(_inputs(width))
+    if draw(st.booleans()):
+        X = X.copy()
+        if sp.issparse(X):
+            X.data[X.data == 0.25] = np.nan
+        else:
+            X[X == 0.25] = np.nan
+    scales = draw(st.lists(SCALARS, min_size=len(forest), max_size=len(forest)))
+    caps = {
+        "_WALK_ENTRIES": draw(st.sampled_from([1, 2, 5, 1 << 14])),
+        "_DENSE_ENTRIES": draw(st.sampled_from([1, 3, 4_000_000])),
+    }
+    return forest, X, scales, draw(SCALARS), caps
+
+
+def _leaf_forest(values) -> Tree:
+    """A forest of one-leaf trees, one per value."""
+    return pack([
+        Tree(
+            sizes=np.array([1], dtype=np.int32),
+            feature=np.array([-1], dtype=np.int32),
+            threshold=np.zeros(1),
+            left=np.array([-1], dtype=np.int32),
+            right=np.array([-1], dtype=np.int32),
+            value=np.array([value]),
+        )
+        for value in values
+    ])
+
+
+@settings(max_examples=400)
+@given(scaled_cases())
+# -0.0 + -0.0 is -0.0, where a sum started from 0.0 gives 0.0.
+@example(
+    (_leaf_forest([-0.0]), np.zeros((2, 1)), [1.0], -0.0, {"_WALK_ENTRIES": 2})
+)
+def test_scaled_walk_matches_per_tree_loop(case):
+    forest, X, scales, base, caps = case
+    want = np.full(X.shape[0], base)
+    for leaves, scale in zip(_oracle(forest, X), scales):
+        want += scale * leaves
+    with mock.patch.multiple(_tree, **caps):
+        got = forest.predict(X, scales, base)
+    assert got.shape == (X.shape[0],)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_forest_mean_matches_numpy_mean_for_one_row_and_many():
+    # Sixty one-leaf trees of assorted values: numpy's mean of one row's
+    # leaves sums them pairwise, of several rows' from 0.0 in tree order, so
+    # that a forest of -0.0 leaves averages to 0.0.
+    rng = np.random.default_rng(2)
+    for values in (rng.normal(size=60) * 10.0 ** rng.integers(-8, 8, 60), [-0.0] * 60):
+        forest = _leaf_forest(values)
+        model = TrainedLearner(
+            variant="random_forest", params=LearnerParams(variant="random_forest"),
+            width=2, trees=forest, tree_scales=(1.0,) * 60,
+        )
+        for n_rows in (1, 2, 5):
+            X = np.zeros((n_rows, 2))
+            want = np.stack(_per_tree_leaves(forest, X)).mean(axis=0)
+            assert predict_proba(model, X).tobytes() == want.tobytes()
+
+
+def _scoring_peak(model, X) -> int:
+    tracemalloc.start()
+    try:
+        predict_proba(model, X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_memory_does_not_grow_with_the_batch():
+    rng = np.random.default_rng(11)
+    X = np.where(rng.random((400, 40)) < 0.7, 0.0, rng.normal(size=(400, 40)))
+    y = (X[:, 0] + X[:, 1] > 0).astype(float)
+    ones = np.ones(len(X))
+    spec = GrowSpec(mode="mse", max_depth=8, min_rows=2)
+    tree, _ = grow_tree(ColumnIndex(as_csr(X)), np.arange(len(X)), y - 0.5, ones, ones, spec)
+    # Two hundred trees, as many as the default textual booster grows.
+    forest = pack([tree] * 200)
+    big = as_csr(np.tile(X, (50, 1)))
+    small = big[:2000]
+    for variant, scales in (
+        ("gradient_boosting", (0.1,) * 200),
+        ("random_forest", (1.0,) * 200),
+    ):
+        model = TrainedLearner(
+            variant=variant, params=LearnerParams(variant=variant), width=40,
+            trees=forest, tree_scales=scales,
+        )
+        # Scoring 20,000 rows once held a (trees, rows) array of 32 MB.
+        assert _scoring_peak(model, big) < 3 * _scoring_peak(model, small), variant
 
 
 TREE_VARIANTS = (
