@@ -23,10 +23,11 @@ once and walks every tree of the forest at once. A zero takes the same
 branch at every node (0.0 <= threshold), the default direction of XGBoost's
 sparsity-aware algorithm, so a sparse row's walk in each tree starts at the
 first node of the tree's all-zero path whose feature the row stores; the
-dense copy of a sparse chunk holds only the columns the forest tests. The
-learners ask for each row's scaled sum of leaf values, added up chunk by
-chunk, so scoring holds one chunk's walk and one value per row, whatever
-the number of rows.
+dense copy of a sparse chunk holds only the columns the forest tests.
+Prediction gives each row one scaled sum of its leaf values, added in tree
+order chunk by chunk, so scoring holds one chunk's walk and one value per
+row, whatever the number of rows, and a row scores the same bits alone as
+in any batch.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ TREE_ARRAYS = (
 # holds at most _DENSE_ENTRIES values, and the walk state (one node per tree
 # and row) at most _WALK_ENTRIES, unless one row alone exceeds a cap. Each
 # walk position costs about 50 bytes of index and value temporaries per
-# level, so a chunk walks in under 1 MiB; with scales, only one sum per row
-# outlives its chunk. A CSR chunk's all-zero-path hits number at most one
-# per row and path node, so at most _WALK_ENTRIES times the mean path
-# length, unless rows store duplicates.
+# level, so a chunk walks in under 1 MiB, and only one sum per row outlives
+# its chunk. A CSR chunk's all-zero-path hits number at most one per row and
+# path node, so at most _WALK_ENTRIES times the mean path length, unless rows
+# store duplicates.
 _DENSE_ENTRIES = 4_000_000
 _WALK_ENTRIES = 1 << 14
 
@@ -94,37 +95,30 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict(self, X, scales=None, base: float = 0.0) -> np.ndarray:
-        """Leaf values of every tree for every row, or their scaled sum.
+    def predict(self, X, scales, base: float = 0.0) -> np.ndarray:
+        """Per row, base + scales[0] * leaf_0 + scales[1] * leaf_1 + ...
 
-        With scales None the result is each tree's leaf value for each row,
-        shape (n_trees, n_rows). With one scale per tree it is, per row,
-        base + scales[0] * leaf_0 + scales[1] * leaf_1 + ..., added in tree
-        order one chunk of rows at a time, so that memory does not grow
-        with the number of rows.
+        The terms are added in tree order one chunk of rows at a time, so
+        that memory does not grow with the number of rows, and a row gets
+        the same bits whichever chunk it falls in.
 
-        Accepts dense input, one dense row, or a Csr or SciPy sparse matrix.
-        Each chunk of rows is densified once and every tree walks it at the
-        same time. Dense rows start at the roots; a sparse row starts each
-        tree where its stored entries first leave the tree's all-zero path,
-        and its dense copy holds only the columns the forest tests.
+        Accepts a 2-D dense array or a Csr or SciPy sparse matrix. Each chunk
+        of rows is densified once and every tree walks it at the same time.
+        Dense rows start at the roots; a sparse row starts each tree where
+        its stored entries first leave the tree's all-zero path, and its
+        dense copy holds only the columns the forest tests.
         """
         sparse = is_sparse(X)
         if sparse:
             X = as_csr(X)
         else:
             X = np.asarray(X, dtype=np.float64)
-            if X.ndim == 1:
-                X = X.reshape(1, -1)
         n_rows, width = X.shape
         n_trees = len(self)
-        if scales is None:
-            out = np.empty((n_trees, n_rows), dtype=np.float64)
-        elif n_trees == 0:
+        if n_trees == 0:
             return np.full(n_rows, base, dtype=np.float64)
-        else:
-            scales = np.asarray(scales, dtype=np.float64).reshape(n_trees, 1)
-            out = np.empty(n_rows, dtype=np.float64)
+        scales = np.asarray(scales, dtype=np.float64).reshape(n_trees, 1)
+        out = np.empty(n_rows, dtype=np.float64)
         roots = np.cumsum(self.sizes, dtype=np.intp) - self.sizes
         # children[2 * node + went_right] is the next node, as an index into
         # the packed arrays.
@@ -159,20 +153,17 @@ class Tree:
                 nodes[walking] = step
                 walking = walking[internal[step]]
             leaves = self.value[nodes].reshape(n_trees, rows)
-            if scales is None:
-                out[:, start : start + rows] = leaves
+            leaves *= scales
+            leaves[0] += base
+            # numpy adds several rows' leaves row by row, in tree order,
+            # but a single row's pairwise, which rounds differently. A
+            # start of -0.0 adds nothing to any value.
+            if rows > 1:
+                out[start : start + rows] = np.add.reduce(
+                    leaves, axis=0, initial=-0.0
+                )
             else:
-                leaves *= scales
-                leaves[0] += base
-                # numpy adds several rows' leaves row by row, in tree order,
-                # but a single row's pairwise, which rounds differently. A
-                # start of -0.0 adds nothing to any value.
-                if rows > 1:
-                    out[start : start + rows] = np.add.reduce(
-                        leaves, axis=0, initial=-0.0
-                    )
-                else:
-                    out[start] = np.add.accumulate(leaves[:, 0])[-1]
+                out[start] = np.add.accumulate(leaves[:, 0])[-1]
         return out
 
     def _sparse_chunks(self, roots, children, internal, width):

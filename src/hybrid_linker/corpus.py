@@ -137,9 +137,6 @@ class Corpus:
         except KeyError:
             raise KeyError(f"unknown commit hash {commit_hash!r}") from None
 
-    def linked_commits(self) -> tuple[Commit, ...]:
-        return tuple(c for c in self.commits if c.linked_issue_ids)
-
     def pairs(self, candidates) -> list[tuple[Issue, Commit]]:
         """The (issue, commit) records of each link candidate, in order."""
         return [

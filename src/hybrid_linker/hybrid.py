@@ -197,11 +197,6 @@ class Prediction(NamedTuple):
     label: int
 
 
-def predict(model: HybridModel, issue: Issue, commit: Commit) -> Prediction:
-    """Fused probability and thresholded label for one pair."""
-    return predict_pairs(model, [(issue, commit)])[0]
-
-
 def predict_pairs(
     model: HybridModel, pairs: list[tuple[Issue, Commit]]
 ) -> list[Prediction]:

@@ -350,10 +350,6 @@ def predict_proba(model, X) -> np.ndarray:
             f"feature width {X.shape[1]} does not match model width {model.width}"
         )
     if model.variant in ("decision_tree", "random_forest"):
-        # numpy's mean sums one row's leaves pairwise, and several rows'
-        # from 0.0 in tree order, as the scaled walk does.
-        if X.shape[0] == 1:
-            return model.trees.predict(X).mean(axis=0)
         n_trees = len(model.trees)
         return model.trees.predict(X, np.ones(n_trees)) / n_trees
     if model.variant in ("gradient_boosting", "regularized_gradient_boosting"):

@@ -11,8 +11,7 @@ with its issue's corpus position. Each commit date bisects the inclusive range
 ``[date - window, date + window]`` and the hit positions are emitted in
 ascending order, so the output keeps corpus order. This costs
 O(I log I + C log I + output) for I issues and C linked commits instead of
-testing every commit-issue pair; ``within_window`` stays the reference
-predicate the index must agree with.
+testing every commit-issue pair.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import HybridLinkerError
-from .corpus import SECONDS_PER_DAY, Corpus, Commit, Issue, _locate_decode_error
+from .corpus import SECONDS_PER_DAY, Corpus, Issue, _locate_decode_error
 
 
 class CandidateFileError(HybridLinkerError):
@@ -47,21 +46,6 @@ def _issue_dates(issue: Issue) -> tuple[int, ...]:
     if issue.resolved_date is not None:
         dates.append(issue.resolved_date)
     return tuple(dates)
-
-
-def within_window(commit: Commit, issue: Issue, window_days: int | None) -> bool:
-    """True when any commit date is within the window of any issue date.
-
-    The bound is inclusive; window_days=None disables the check entirely.
-    """
-    if window_days is None:
-        return True
-    limit = window_days * SECONDS_PER_DAY
-    for commit_date in (commit.author_time_date, commit.commit_time_date):
-        for issue_date in _issue_dates(issue):
-            if abs(commit_date - issue_date) <= limit:
-                return True
-    return False
 
 
 def _candidate(

@@ -89,11 +89,6 @@ def _identity_redundancy(issues) -> dict[str, float]:
     return {"reporter_creator_equality": equal / len(issues)}
 
 
-def redundancy_report(corpus: Corpus) -> dict[str, float]:
-    """Per-pair equality rates between identity columns of the same record."""
-    return _identity_redundancy(corpus.issues)
-
-
 def _top_identities(counts: Counter, top_k: int) -> tuple[str, ...]:
     ordered = sorted(counts, key=lambda ident: (-counts[ident], ident))
     return tuple(ordered[:top_k])

@@ -137,11 +137,6 @@ def _transform_rows(blocks: list[tuple[TfidfModel, list[TokenStream]]]) -> Csr:
     return Csr.from_arrays(values, cols, indptr, (n_rows, n_cols))
 
 
-def transform(model: TfidfModel, doc: TokenStream) -> Csr:
-    """Vectorize one document as a 1 x width sparse row."""
-    return _transform_rows([(model, [doc])])
-
-
 def fit_transform(
     documents: list[TokenStream],
     ngram_range: tuple[int, int] = DEFAULT_NGRAM_RANGE,

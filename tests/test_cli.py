@@ -153,6 +153,40 @@ def test_predict_batch_of_no_pairs_writes_only_the_header(workspace, capsys):
     assert f"scored 0 pairs -> {out_path}" in out
 
 
+def test_every_predict_line_equals_its_predict_batch_row(workspace, capsys):
+    config = workspace / "config.json"
+    data = json.loads(config.read_text(encoding="utf-8"))
+    data["nontextual_kind"] = "RF+GB+XGB"
+    data["nontextual"]["random_forest"] = {
+        "variant": "random_forest", "n_trees": 12, "max_depth": 5, "min_rows": 2,
+    }
+    config.write_text(json.dumps(data), encoding="utf-8")
+    corpus, cands, model = _pipeline(workspace, capsys)
+    pairs = [
+        line.split("\t")[:2]
+        for line in cands.read_text(encoding="utf-8").splitlines()[1:]
+    ]
+    pairs_path = workspace / "pairs.tsv"
+    pairs_path.write_text(
+        "".join(f"{issue_id}\t{commit_hash}\n" for issue_id, commit_hash in pairs),
+        encoding="utf-8",
+    )
+    code, batch, _ = _run(
+        capsys, "predict-batch", "--model", model, "--corpus", corpus,
+        "--pairs", pairs_path,
+    )
+    assert code == 0
+    rows = batch.splitlines()[1:]
+    assert len(rows) == len(pairs)
+    for (issue_id, commit_hash), row in zip(pairs, rows):
+        code, out, _ = _run(
+            capsys, "predict", "--model", model, "--corpus", corpus,
+            "--issue", issue_id, "--commit", commit_hash,
+        )
+        assert code == 0
+        assert out.split() == row.split("\t")
+
+
 def test_evaluate_is_byte_identical_across_runs(workspace, capsys):
     corpus, cands, _ = _pipeline(workspace, capsys)
     report_a = workspace / "report-a.json"

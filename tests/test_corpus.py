@@ -328,7 +328,8 @@ def test_synthesize_counts_and_validity():
     validate_corpus(corpus)
     assert len(corpus.issues) == 40
     assert len(corpus.commits) == 25
-    assert len(corpus.linked_commits()) == round(0.6 * 25)
+    linked = [c for c in corpus.commits if c.linked_issue_ids]
+    assert len(linked) == round(0.6 * 25)
     assert {c.project for c in corpus.commits} == {corpus.project}
 
 
@@ -341,7 +342,9 @@ def test_synthesize_minimum_sizes():
 
 def _mean_shared_tokens(corpus) -> float:
     shared = []
-    for commit in corpus.linked_commits():
+    for commit in corpus.commits:
+        if not commit.linked_issue_ids:
+            continue
         issue = corpus.issue(commit.linked_issue_ids[0])
         overlap = set(issue.summary.split()) & set(commit.message.split())
         shared.append(len(overlap))
@@ -369,7 +372,9 @@ def test_temporal_knob_controls_commit_gap():
 
     def mean_gap(corpus):
         gaps = []
-        for commit in corpus.linked_commits():
+        for commit in corpus.commits:
+            if not commit.linked_issue_ids:
+                continue
             issue = corpus.issue(commit.linked_issue_ids[0])
             gaps.append(abs(commit.author_time_date - issue.created_date))
         return sum(gaps) / len(gaps)

@@ -11,7 +11,6 @@ from hybrid_linker.hybrid import (
     fuse_arrays,
     load_model,
     metrics,
-    predict,
     predict_pairs,
     save_model,
     train_hybrid,
@@ -169,13 +168,16 @@ def test_train_hybrid_splits_and_tunes():
 def test_predictions_respect_threshold():
     corpus, model = _small_model()
     pairs = [
-        (corpus.issue(c.linked_issue_ids[0]), c) for c in corpus.linked_commits()
+        (corpus.issue(c.linked_issue_ids[0]), c)
+        for c in corpus.commits
+        if c.linked_issue_ids
     ]
-    for pred in predict_pairs(model, pairs[:10]):
+    batch = predict_pairs(model, pairs[:10])
+    for pred in batch:
         assert 0.0 <= pred.probability <= 1.0
         assert pred.label == int(pred.probability >= model.threshold)
-    single = predict(model, pairs[0][0], pairs[0][1])
-    assert single == predict_pairs(model, pairs[:1])[0]
+    single = predict_pairs(model, [pairs[0]])[0]
+    assert single == batch[0]
 
 
 def test_bundle_round_trip_identical_predictions(tmp_path):

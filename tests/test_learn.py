@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hybrid_linker import _tree
+from hybrid_linker._csr import as_csr
 from hybrid_linker._tree import ColumnIndex, GrowSpec, grow_tree
 from hybrid_linker.learn import (
+    ENSEMBLE_KINDS,
+    VARIANTS,
     LearnerError,
     LearnerParams,
     log_loss,
@@ -56,8 +64,8 @@ def test_depth1_tree_matches_exhaustive_split():
         impurity, j, thr, p_l, p_r = _brute_force_stump(X, y)
         assert tree.feature[0] == j
         assert tree.threshold[0] == pytest.approx(thr, abs=0.0)
-        got_left = tree.predict(X[X[:, j] <= thr])
-        got_right = tree.predict(X[X[:, j] > thr])
+        got_left = tree.predict(X[X[:, j] <= thr], [1.0])
+        got_right = tree.predict(X[X[:, j] > thr], [1.0])
         assert np.allclose(got_left, p_l, atol=1e-12)
         assert np.allclose(got_right, p_r, atol=1e-12)
 
@@ -151,6 +159,53 @@ def test_predict_accepts_single_row_and_sparse():
     one = predict_proba(model, X[0])
     assert one.shape == (1,)
     assert one[0] == dense[0]
+
+
+@settings(max_examples=60)
+# Seed 1 grows a random forest whose leaves some rows sum to other bits
+# pairwise than in tree order.
+@example("random_forest", 1, 2, False)
+@given(
+    st.sampled_from(VARIANTS + tuple(ENSEMBLE_KINDS)),
+    st.integers(0, 2**16),
+    st.integers(2, 4),
+    st.booleans(),
+)
+def test_a_row_scores_the_same_alone_as_in_a_batch(name, seed, chunk_rows, sparse):
+    rng = np.random.default_rng(seed)
+    X = np.where(rng.random((40, 5)) < 0.5, 0.0, rng.normal(size=(40, 5)))
+    y = (X[:, 0] + X[:, 1] > 0).astype(float)
+    y[:2] = (0.0, 1.0)
+    # Past eight values numpy sums pairwise, so twelve trees show a mean or
+    # sum taken in another order.
+    params = {
+        variant: LearnerParams(
+            variant=variant, n_trees=12, n_estimators=12, max_depth=4,
+            min_rows=2, epochs=2, seed=seed,
+        )
+        for variant in VARIANTS
+    }
+    if name in ENSEMBLE_KINDS:
+        model = train_ensemble(name, X, y, params)
+        members = model.members
+    else:
+        model = train(params[name], X, y)
+        members = (model,)
+    # Every forest splits the batch into chunks of chunk_rows rows, the last
+    # of them one row long.
+    most_trees = max(len(member.trees) for member in members)
+    caps = {
+        "_DENSE_ENTRIES": chunk_rows * X.shape[1],
+        "_WALK_ENTRIES": chunk_rows * max(1, most_trees),
+    }
+    query = X[: 3 * chunk_rows + 1]
+    if sparse:
+        query = as_csr(query)
+    with mock.patch.multiple(_tree, **caps):
+        batch = predict_proba(model, query)
+        for i in range(query.shape[0]):
+            alone = predict_proba(model, query[i : i + 1])
+            assert alone.tobytes() == batch[i : i + 1].tobytes(), i
 
 
 def test_probabilities_lie_in_unit_interval():

@@ -12,7 +12,6 @@ from hybrid_linker.linkgen import (
     balance_candidates,
     generate_candidates,
     read_candidates,
-    within_window,
     write_candidates,
 )
 from tests.conftest import DAY, T0, make_commit, make_corpus, make_issue
@@ -88,6 +87,24 @@ def test_generated_candidates_match_brute_force():
         want_true, want_false = _brute_force_pairs(corpus, window)
         assert got_true == want_true
         assert got_false == want_false
+
+
+def within_window(commit, issue, window_days: int | None) -> bool:
+    """True when any commit date is within the window of any issue date.
+
+    The bound is inclusive; window_days=None disables the check entirely.
+    """
+    if window_days is None:
+        return True
+    issue_dates = [issue.created_date, issue.updated_date]
+    if issue.resolved_date is not None:
+        issue_dates.append(issue.resolved_date)
+    limit = window_days * DAY
+    for commit_date in (commit.author_time_date, commit.commit_time_date):
+        for issue_date in issue_dates:
+            if abs(commit_date - issue_date) <= limit:
+                return True
+    return False
 
 
 def _reference_candidates(corpus, window_days):

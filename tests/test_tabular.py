@@ -13,12 +13,12 @@ from hybrid_linker.tabular import (
     TYPE_CLASSES,
     CategoryMapError,
     TabularEncoder,
+    _identity_redundancy,
     featurize_pairs_tabular,
     fit_encoder,
     load_category_maps,
     reduce_status,
     reduce_type,
-    redundancy_report,
 )
 from tests.conftest import DAY, T0, make_commit, make_corpus, make_issue
 
@@ -185,7 +185,7 @@ def test_reporter_excluded_when_redundant():
     encoder = fit_encoder(_candidates(redundant), redundant)
     assert not encoder.include_reporter
     assert not any(n.startswith("reporter=") for n in encoder.feature_names)
-    report = redundancy_report(redundant)
+    report = _identity_redundancy(redundant.issues)
     assert report["reporter_creator_equality"] == 1.0
 
     distinct = _paired_corpus(reporter_same=False)

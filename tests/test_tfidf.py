@@ -21,12 +21,12 @@ from hybrid_linker.textprep import (
 from hybrid_linker.tfidf import (
     TextualVectorizers,
     TfidfModel,
+    _transform_rows,
     featurize_pairs_textual,
     fit,
     fit_transform,
     fit_vectorizers,
     ngrams,
-    transform,
 )
 from tests.conftest import make_commit, make_issue
 
@@ -104,7 +104,7 @@ def test_transform_matches_fit_transform_rows():
     docs = [_stream(d) for d in MICRO_DOCS]
     model, matrix = fit_transform(docs)
     for doc, row in zip(docs, matrix.toarray()):
-        single = transform(model, doc).toarray()[0]
+        single = _transform_rows([(model, [doc])]).toarray()[0]
         assert np.max(np.abs(single - row)) <= 1e-12
 
 
@@ -125,7 +125,7 @@ def test_rows_are_unit_length_or_zero():
 
 def test_unseen_terms_are_ignored():
     model = fit([_stream(d) for d in MICRO_DOCS])
-    row = transform(model, _stream(("neverseen", "copi"))).toarray()[0]
+    row = _transform_rows([(model, [_stream(("neverseen", "copi"))])]).toarray()[0]
     assert np.count_nonzero(row) == 1
     assert row[model.term_index["copi"]] > 0
 
@@ -144,7 +144,7 @@ def test_max_features_prefers_occurrence_then_lexicographic():
         [d.tokens for d in docs], (1, 1), max_features=3
     )
     assert model.terms() == want_terms
-    got = np.vstack([transform(model, d).toarray()[0] for d in docs])
+    got = np.vstack([_transform_rows([(model, [d])]).toarray()[0] for d in docs])
     assert np.max(np.abs(got - np.array(want_rows))) <= 1e-12
 
 
@@ -180,13 +180,15 @@ def test_featurize_blocks_concatenate_per_document_transforms():
         issue = corpus.issue(cand.issue_id)
         commit = corpus.commit(cand.commit_hash)
         row = matrix[row_index].toarray()[0]
-        want_issue = transform(
-            vectorizers.issue, issue_doc(issue, stopwords)
+        want_issue = _transform_rows(
+            [(vectorizers.issue, [issue_doc(issue, stopwords)])]
         ).toarray()[0]
-        want_msg = transform(
-            vectorizers.message, message_doc(commit, stopwords)
+        want_msg = _transform_rows(
+            [(vectorizers.message, [message_doc(commit, stopwords)])]
         ).toarray()[0]
-        want_code = transform(vectorizers.code, code_doc(commit)).toarray()[0]
+        want_code = _transform_rows(
+            [(vectorizers.code, [code_doc(commit)])]
+        ).toarray()[0]
         assert np.max(np.abs(row[:start_msg] - want_issue)) <= 1e-12
         assert np.max(np.abs(row[start_msg:start_code] - want_msg)) <= 1e-12
         assert np.max(np.abs(row[start_code:] - want_code)) <= 1e-12
@@ -385,7 +387,9 @@ def test_transform_and_fit_transform_match_oracle(batch):
     model = vectorizers.issue
     docs = [issue_doc(issue, NO_STOPWORDS) for issue, _ in pairs]
     for doc in docs:
-        _assert_same_csr(transform(model, doc), _oracle_transform(model, doc))
+        _assert_same_csr(
+            _transform_rows([(model, [doc])]), _oracle_transform(model, doc)
+        )
     if docs:
         fitted, matrix = fit_transform(docs, max_features=model.max_features)
         want = sp.vstack([_oracle_transform(fitted, doc) for doc in docs], format="csr")

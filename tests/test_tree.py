@@ -6,11 +6,12 @@ np.insert-based grower it replaced, kept verbatim; both must build the same
 trees and training-row values bit for bit.
 
 Tree.predict walks every tree of a packed forest at once over each densified
-chunk of rows, and starts a sparse row's walks where its stored entries first
-leave each tree's all-zero path. The oracle below walks one tree at a time
-from the root over the whole dense matrix; both must agree bit for bit, and
-so must the probabilities that predict_proba builds from them with the
-per-tree mean and sum.
+chunk of rows, starts a sparse row's walks where its stored entries first
+leave each tree's all-zero path, and returns each row's scaled sum of leaf
+values. The oracle below walks one tree at a time from the root over the
+whole dense matrix and adds the scaled leaves tree by tree; both must agree
+bit for bit, and so must the probabilities that predict_proba builds from
+them.
 """
 
 from __future__ import annotations
@@ -382,10 +383,14 @@ def _inputs(width):
     )
 
 
-def _oracle(forest, X) -> np.ndarray:
+def _oracle(forest, X, scales, base=0.0) -> np.ndarray:
+    """base + scales[0] * leaf_0 + scales[1] * leaf_1 + ... per row, added
+    tree by tree."""
     dense = X.toarray() if sp.issparse(X) else X
-    leaves = _per_tree_leaves(forest, dense)
-    return np.array(leaves, dtype=np.float64).reshape(len(forest), len(dense))
+    want = np.full(dense.shape[0], base)
+    for leaves, scale in zip(_per_tree_leaves(forest, dense), scales):
+        want += scale * leaves
+    return want
 
 
 @settings(max_examples=400)
@@ -400,12 +405,12 @@ def _oracle(forest, X) -> np.ndarray:
 )
 def test_packed_walk_matches_per_tree_walk(case):
     forest, X, walk_entries = case
-    want = _oracle(forest, X)
+    ones = np.ones(len(forest))
+    want = _oracle(forest, X, ones)
     # A small walk bound splits even a few rows into several chunks.
     with mock.patch.object(_tree, "_WALK_ENTRIES", walk_entries):
-        got = forest.predict(X)
-    assert got.shape == (len(forest), X.shape[0])
-    assert got.flags.c_contiguous
+        got = forest.predict(X, ones)
+    assert got.shape == (X.shape[0],)
     assert got.tobytes() == want.tobytes()
 
 
@@ -417,24 +422,12 @@ def test_packed_walk_matches_per_tree_walk(case):
 )
 def test_one_csr_row_matches_the_same_row_dense(case):
     forest, X = case
+    ones = np.ones(len(forest))
     for i in range(X.shape[0]):
         row = X[i]
-        got = forest.predict(row)
-        assert got.tobytes() == forest.predict(row.toarray()[0]).tobytes()
-        assert got.tobytes() == _oracle(forest, row).tobytes()
-
-
-def test_one_dense_row_gives_one_column():
-    rng = np.random.default_rng(3)
-    X = rng.random((20, 3))
-    index = ColumnIndex(sp.csr_matrix(X))
-    spec = GrowSpec(mode="gini", max_depth=3, min_rows=1)
-    ones = np.ones(20)
-    tree, _ = grow_tree(index, np.arange(20), (X[:, 0] > 0.5) * ones, ones, ones, spec)
-    forest = pack([tree, tree])
-    got = forest.predict(X[4])
-    assert got.shape == (2, 1)
-    assert got.tobytes() == np.stack(_per_tree_leaves(forest, X[4:5])).tobytes()
+        got = forest.predict(row, ones)
+        assert got.tobytes() == forest.predict(row.toarray(), ones).tobytes()
+        assert got.tobytes() == _oracle(forest, row, ones).tobytes()
 
 
 # Scales and leaf values with both zeros, so that a sum started from the
@@ -495,19 +488,32 @@ def _leaf_forest(values) -> Tree:
 )
 def test_scaled_walk_matches_per_tree_loop(case):
     forest, X, scales, base, caps = case
-    want = np.full(X.shape[0], base)
-    for leaves, scale in zip(_oracle(forest, X), scales):
-        want += scale * leaves
+    want = _oracle(forest, X, scales, base)
     with mock.patch.multiple(_tree, **caps):
         got = forest.predict(X, scales, base)
     assert got.shape == (X.shape[0],)
     assert got.tobytes() == want.tobytes()
 
 
-def test_forest_mean_matches_numpy_mean_for_one_row_and_many():
+def test_one_dense_row_gives_one_column():
+    # One of the dense rows two copies of a grown tree grew on: the walk
+    # returns that row's one summed value, as the per-tree loop adds it.
+    rng = np.random.default_rng(3)
+    X = rng.random((20, 3))
+    index = ColumnIndex(sp.csr_matrix(X))
+    spec = GrowSpec(mode="gini", max_depth=3, min_rows=1)
+    ones = np.ones(20)
+    tree, _ = grow_tree(index, np.arange(20), (X[:, 0] > 0.5) * ones, ones, ones, spec)
+    forest = pack([tree, tree])
+    got = forest.predict(X[4:5], [1.0, 1.0])
+    assert got.shape == (1,)
+    assert got.tobytes() == _oracle(forest, X[4:5], [1.0, 1.0]).tobytes()
+
+
+def test_forest_mean_is_the_tree_order_sum_for_one_row_and_many():
     # Sixty one-leaf trees of assorted values: numpy's mean of one row's
-    # leaves sums them pairwise, of several rows' from 0.0 in tree order, so
-    # that a forest of -0.0 leaves averages to 0.0.
+    # leaves would sum them pairwise. Every row count sums from 0.0 in tree
+    # order, so that a forest of -0.0 leaves averages to 0.0.
     rng = np.random.default_rng(2)
     for values in (rng.normal(size=60) * 10.0 ** rng.integers(-8, 8, 60), [-0.0] * 60):
         forest = _leaf_forest(values)
@@ -517,7 +523,7 @@ def test_forest_mean_matches_numpy_mean_for_one_row_and_many():
         )
         for n_rows in (1, 2, 5):
             X = np.zeros((n_rows, 2))
-            want = np.stack(_per_tree_leaves(forest, X)).mean(axis=0)
+            want = _oracle(forest, X, np.ones(60)) / 60
             assert predict_proba(model, X).tobytes() == want.tobytes()
 
 
@@ -581,14 +587,11 @@ def test_predict_proba_keeps_the_per_tree_formulas(variant, seed, n_query, spars
     )
     model = train(params, X, y)
     query = X[:n_query]
-    leaves = _per_tree_leaves(model.trees, query)
+    n_trees = len(model.trees)
     if variant in ("decision_tree", "random_forest"):
-        want = np.stack(leaves).mean(axis=0)
+        want = _oracle(model.trees, query, np.ones(n_trees)) / n_trees
     else:
-        scores = np.full(n_query, model.base_score)
-        for tree_leaves, scale in zip(leaves, model.tree_scales):
-            scores += scale * tree_leaves
-        want = sigmoid(scores)
+        want = sigmoid(_oracle(model.trees, query, model.tree_scales, model.base_score))
     got = predict_proba(model, sp.csr_matrix(query) if sparse else query)
     assert got.tobytes() == np.asarray(want).tobytes()
 
