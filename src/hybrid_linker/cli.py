@@ -265,7 +265,7 @@ def cmd_evaluate(args, config: Config) -> int:
     text = render_report(report)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        mean = report.get("mean") or report["channels"]["hybrid"]["mean"]
+        mean = report["channels"]["hybrid"]["mean"] if args.ablation else report["mean"]
         print(f"mean f1={mean['f1']:.4f} -> {args.out}")
     else:
         sys.stdout.write(text)

@@ -16,7 +16,6 @@ from ._pcg import Generator
 from .config import Config
 from .corpus import Corpus
 from .hybrid import (
-    Metrics,
     channel_probabilities,
     fuse_arrays,
     metrics,
@@ -121,20 +120,45 @@ def _run_one_fold(
     }
 
 
-def _fold_metrics(fold: dict, alpha: float, threshold: float) -> Metrics:
-    fused = fuse_arrays(fold["p_nontextual"], fold["p_textual"], alpha)
-    return metrics(fused >= threshold, fold["actual"] == 1)
+def _channel(raw: list[dict], threshold: float, alpha=None, keys=()) -> dict:
+    """One channel's fold rows with their mean and std over the folds.
 
-
-def _aggregate(fold_metrics: list[Metrics]) -> dict:
-    table = {
-        "precision": [m.precision for m in fold_metrics],
-        "recall": [m.recall for m in fold_metrics],
-        "f1": [m.f1 for m in fold_metrics],
-    }
+    alpha None scores each fold with its own alpha; keys names the fold
+    fields copied into each row.
+    """
+    rows = []
+    for fold in raw:
+        fold_alpha = fold["alpha"] if alpha is None else alpha
+        fused = fuse_arrays(fold["p_nontextual"], fold["p_textual"], fold_alpha)
+        m = metrics(fused >= threshold, fold["actual"] == 1)
+        rows.append(
+            {
+                "fold_index": fold["fold_index"],
+                "alpha": fold_alpha,
+                **{key: fold[key] for key in keys},
+                **m.to_dict(),
+            }
+        )
+    table = {key: [row[key] for row in rows] for key in ("precision", "recall", "f1")}
     return {
+        "folds": rows,
         "mean": {key: float(np.mean(vals)) for key, vals in table.items()},
         "std": {key: float(np.std(vals)) for key, vals in table.items()},
+    }
+
+
+def _report(kind: str, raw, candidates, corpus: Corpus, config: Config, **body) -> dict:
+    """The header every report shares, followed by its kind's body."""
+    return {
+        "kind": kind,
+        "project": corpus.project,
+        "n_candidates": len(candidates),
+        "k": config.k,
+        "tune_on": config.tune_on,
+        "alphas": [fold["alpha"] for fold in raw],
+        "config": config.to_dict(),
+        "reference_averages": REFERENCE_AVERAGES,
+        **body,
     }
 
 
@@ -168,33 +192,9 @@ def cross_validate(
 ) -> dict:
     """K-fold evaluation of the full pipeline; returns a report dict."""
     raw = _run_folds(candidates, corpus, config)
-    fold_rows = []
-    per_fold = []
-    for fold in raw:
-        m = _fold_metrics(fold, fold["alpha"], config.threshold)
-        per_fold.append(m)
-        row = {
-            "fold_index": fold["fold_index"],
-            "n_train": fold["n_train"],
-            "n_test": fold["n_test"],
-            "alpha": fold["alpha"],
-            "validation_f1": fold["validation_f1"],
-        }
-        row.update(m.to_dict())
-        fold_rows.append(row)
-    report = {
-        "kind": "cross-validation",
-        "project": corpus.project,
-        "n_candidates": len(candidates),
-        "k": config.k,
-        "tune_on": config.tune_on,
-        "alphas": [fold["alpha"] for fold in raw],
-        "folds": fold_rows,
-        "config": config.to_dict(),
-        "reference_averages": REFERENCE_AVERAGES,
-    }
-    report.update(_aggregate(per_fold))
-    return report
+    keys = ("n_train", "n_test", "validation_f1")
+    body = _channel(raw, config.threshold, keys=keys)
+    return _report("cross-validation", raw, candidates, corpus, config, **body)
 
 
 def ablation(
@@ -207,38 +207,14 @@ def ablation(
     """
     raw = _run_folds(candidates, corpus, config)
     channels = {
-        "hybrid": None,
-        "textual_only": 0.0,
-        "nontextual_only": 1.0,
+        name: _channel(raw, config.threshold, alpha)
+        for name, alpha in (
+            ("hybrid", None),
+            ("textual_only", 0.0),
+            ("nontextual_only", 1.0),
+        )
     }
-    report = {
-        "kind": "ablation",
-        "project": corpus.project,
-        "n_candidates": len(candidates),
-        "k": config.k,
-        "tune_on": config.tune_on,
-        "alphas": [fold["alpha"] for fold in raw],
-        "config": config.to_dict(),
-        "reference_averages": REFERENCE_AVERAGES,
-        "channels": {},
-    }
-    for name, forced_alpha in channels.items():
-        fold_rows = []
-        per_fold = []
-        for fold in raw:
-            alpha = fold["alpha"] if forced_alpha is None else forced_alpha
-            m = _fold_metrics(fold, alpha, config.threshold)
-            per_fold.append(m)
-            row = {
-                "fold_index": fold["fold_index"],
-                "alpha": alpha,
-            }
-            row.update(m.to_dict())
-            fold_rows.append(row)
-        entry = {"folds": fold_rows}
-        entry.update(_aggregate(per_fold))
-        report["channels"][name] = entry
-    return report
+    return _report("ablation", raw, candidates, corpus, config, channels=channels)
 
 
 def render_report(report: dict) -> str:

@@ -17,7 +17,7 @@ import json
 import zipfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -86,16 +86,7 @@ class Metrics:
     flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "flags": list(self.flags),
-        }
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 def metrics(predicted, actual) -> Metrics:
@@ -226,10 +217,8 @@ def train_hybrid(
     n = len(candidates)
     order = Generator(config.resolved_split_seed()).permutation(n)
     n_fit = min(n - 1, max(1, int(round(0.8 * n))))
-    fit_idx = order[:n_fit]
-    val_idx = order[n_fit:]
-    fit_part = [candidates[i] for i in fit_idx]
-    val_part = [candidates[i] for i in val_idx]
+    fit_part = [candidates[i] for i in order[:n_fit]]
+    val_part = [candidates[i] for i in order[n_fit:]]
 
     vectorizers = fit_vectorizers(
         fit_part, corpus, stopwords, max_features=config.max_features
@@ -248,42 +237,34 @@ def train_hybrid(
     X_nt = featurize_pairs_tabular(fit_pairs, encoder)
     y_fit = np.array([c.label for c in fit_part], dtype=np.float64)
 
-    textual_model = train(replace(config.textual, seed=config.seed), X_t, y_fit)
-    nontextual_model = train_ensemble(
-        config.nontextual_kind,
-        X_nt,
-        y_fit,
-        {
-            variant: replace(params, seed=config.seed)
-            for variant, params in config.nontextual.items()
-        },
-        seed=config.seed,
-    )
-
-    val_pairs = corpus.pairs(val_part)
-    Xv_t = featurize_pairs_textual(val_pairs, vectorizers, stopwords)
-    Xv_nt = featurize_pairs_tabular(val_pairs, encoder)
-    pv_t = predict_proba(textual_model, Xv_t)
-    pv_nt = predict_proba(nontextual_model, Xv_nt)
-    y_val = np.array([c.label for c in val_part], dtype=np.float64)
-    alpha, val_f1 = tune_alpha(
-        pv_nt, pv_t, y_val, config.alpha_step, config.threshold
-    )
-
-    return HybridModel(
+    model = HybridModel(
         project=corpus.project,
-        alpha=alpha,
+        alpha=0.5,  # tuned on the validation slice below
         threshold=config.threshold,
         stopwords=stopwords,
         vectorizers=vectorizers,
         encoder=encoder,
-        textual=textual_model,
-        nontextual=nontextual_model,
+        textual=train(replace(config.textual, seed=config.seed), X_t, y_fit),
+        nontextual=train_ensemble(
+            config.nontextual_kind,
+            X_nt,
+            y_fit,
+            {
+                variant: replace(params, seed=config.seed)
+                for variant, params in config.nontextual.items()
+            },
+            seed=config.seed,
+        ),
         config=config.to_dict(),
-        validation_f1=val_f1,
         n_fit=len(fit_part),
         n_validation=len(val_part),
     )
+    p_nt, p_t = channel_probabilities(model, corpus.pairs(val_part))
+    y_val = np.array([c.label for c in val_part], dtype=np.float64)
+    model.alpha, model.validation_f1 = tune_alpha(
+        p_nt, p_t, y_val, config.alpha_step, config.threshold
+    )
+    return model
 
 
 # Bundle layout. A bundle is a zip of manifest.json plus one little-endian

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import HybridLinkerError
-from .corpus import SECONDS_PER_DAY, Corpus, Issue, _locate_decode_error
-from .linkgen import LinkCandidate
+from .corpus import SECONDS_PER_DAY, Corpus, Issue
+from .linkgen import LinkCandidate, tsv_lines
 
 STATUS_CLASSES = ("open", "closed", "resolved")
 TYPE_CLASSES = ("task", "new_feature", "bug")
@@ -51,15 +51,13 @@ def load_category_maps(
             "category_map.tsv"
         ).read_text(encoding="utf-8")
         source = "<packaged category_map.tsv>"
+        lines = enumerate(text.split("\n"), start=1)
     else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise CategoryMapError(_locate_decode_error(path)) from None
         source = str(path)
+        lines = tsv_lines(path, CategoryMapError)
     status_map: dict[str, str] = {}
     type_map: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue

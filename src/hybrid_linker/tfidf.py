@@ -163,6 +163,33 @@ class TextualVectorizers:
         return (0, self.issue.width, self.issue.width + self.message.width)
 
 
+def _documents(pairs, stopwords: frozenset[str] | None):
+    """The documents of each distinct issue and commit, in first-seen order.
+
+    Returns the issue, message and code document lists, and per pair its
+    issue's row in the first list and its commit's row in the other two,
+    flattened into one list.
+    """
+    issue_rows: dict[str, int] = {}
+    commit_rows: dict[str, int] = {}
+    issue_docs: list[TokenStream] = []
+    message_docs: list[TokenStream] = []
+    code_docs: list[TokenStream] = []
+    segments: list[int] = []
+    for issue, commit in pairs:
+        issue_row = issue_rows.get(issue.issue_id)
+        if issue_row is None:
+            issue_row = issue_rows[issue.issue_id] = len(issue_docs)
+            issue_docs.append(issue_doc(issue, stopwords))
+        commit_row = commit_rows.get(commit.commit_hash)
+        if commit_row is None:
+            commit_row = commit_rows[commit.commit_hash] = len(message_docs)
+            message_docs.append(message_doc(commit, stopwords))
+            code_docs.append(code_doc(commit))
+        segments += (issue_row, commit_row, commit_row)
+    return (issue_docs, message_docs, code_docs), segments
+
+
 def fit_vectorizers(
     candidates: list[LinkCandidate],
     corpus: Corpus,
@@ -170,24 +197,12 @@ def fit_vectorizers(
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> TextualVectorizers:
     """Fit the three textual models on the unique documents the candidates touch."""
-    issue_ids: list[str] = []
-    commit_hashes: list[str] = []
-    seen_issues: set[str] = set()
-    seen_commits: set[str] = set()
-    for cand in candidates:
-        if cand.issue_id not in seen_issues:
-            seen_issues.add(cand.issue_id)
-            issue_ids.append(cand.issue_id)
-        if cand.commit_hash not in seen_commits:
-            seen_commits.add(cand.commit_hash)
-            commit_hashes.append(cand.commit_hash)
-    issue_docs = [issue_doc(corpus.issue(i), stopwords) for i in issue_ids]
-    message_docs = [message_doc(corpus.commit(h), stopwords) for h in commit_hashes]
-    code_docs = [code_doc(corpus.commit(h)) for h in commit_hashes]
+    blocks, _ = _documents(
+        ((corpus.issue(c.issue_id), corpus.commit(c.commit_hash)) for c in candidates),
+        stopwords,
+    )
     return TextualVectorizers(
-        issue=fit(issue_docs, max_features=max_features),
-        message=fit(message_docs, max_features=max_features),
-        code=fit(code_docs, max_features=max_features),
+        *(fit(documents, max_features=max_features) for documents in blocks)
     )
 
 
@@ -203,26 +218,7 @@ def featurize_pairs_textual(
     pair's row is then its issue's row of the first block followed by its
     commit's rows of the other two.
     """
-    issue_rows: dict[str, int] = {}
-    commit_rows: dict[str, int] = {}
-    issue_docs: list[TokenStream] = []
-    message_docs: list[TokenStream] = []
-    code_docs: list[TokenStream] = []
-    # Per pair, its issue's row in the first block and its commit's row in
-    # the other two, each counted within its block.
-    segments: list[int] = []
-    for issue, commit in pairs:
-        issue_row = issue_rows.get(issue.issue_id)
-        if issue_row is None:
-            issue_row = issue_rows[issue.issue_id] = len(issue_docs)
-            issue_docs.append(issue_doc(issue, stopwords))
-        commit_row = commit_rows.get(commit.commit_hash)
-        if commit_row is None:
-            commit_row = commit_rows[commit.commit_hash] = len(message_docs)
-            message_docs.append(message_doc(commit, stopwords))
-            code_docs.append(code_doc(commit))
-        segments += (issue_row, commit_row, commit_row)
-
+    (issue_docs, message_docs, code_docs), segments = _documents(pairs, stopwords)
     rows = _transform_rows(
         [
             (vectorizers.issue, issue_docs),

@@ -122,6 +122,25 @@ def test_cross_validate_report_shape_and_determinism():
     assert set(report_a["std"]) >= {"precision", "recall", "f1"}
 
 
+def test_cross_validation_is_the_ablation_hybrid_channel_plus_fold_sizes():
+    corpus, cands = _balanced()
+    cv = cross_validate(cands, corpus, SMALL_CONFIG)
+    abl = ablation(cands, corpus, SMALL_CONFIG)
+    assert (cv["kind"], abl["kind"]) == ("cross-validation", "ablation")
+    header = abl.keys() - {"kind", "channels"}
+    assert cv.keys() - {"kind", "folds", "mean", "std"} == header
+    assert all(cv[key] == abl[key] for key in header)
+    hybrid = abl["channels"]["hybrid"]
+    assert (cv["mean"], cv["std"]) == (hybrid["mean"], hybrid["std"])
+    sizes = ("n_train", "n_test", "validation_f1")
+    shared = [{k: v for k, v in row.items() if k not in sizes} for row in cv["folds"]]
+    assert shared == hybrid["folds"]
+    folds = kfold(len(cands), SMALL_CONFIG.k, SMALL_CONFIG.resolved_fold_seed())
+    for row, (train, test) in zip(cv["folds"], folds):
+        assert (row["n_train"], row["n_test"]) == (len(train), len(test))
+        assert 0.0 <= row["validation_f1"] <= 1.0
+
+
 def test_reports_carry_reference_averages_as_context():
     corpus, cands = _balanced()
     report = cross_validate(cands, corpus, SMALL_CONFIG)

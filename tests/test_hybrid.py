@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hybrid_linker._pcg import Generator
 from hybrid_linker.config import Config
 from hybrid_linker.corpus import SignalParams, synthesize_corpus
 from hybrid_linker.hybrid import (
     HybridError,
     alpha_grid,
+    channel_probabilities,
     fuse_arrays,
     load_model,
     metrics,
@@ -163,6 +167,24 @@ def test_train_hybrid_splits_and_tunes():
     total = model.n_fit + model.n_validation
     assert model.n_validation == round(0.2 * total)
     assert model.project == corpus.project
+
+
+def test_alpha_is_tuned_on_the_validation_channel_probabilities():
+    corpus = synthesize_corpus(
+        seed=5, n_issues=40, n_commits=40, signal=SignalParams(0.9, 0.9, 1.0)
+    )
+    balanced = balance_candidates(generate_candidates(corpus, window_days=7), seed=5)
+    candidates = list(balanced.candidates)
+    config = replace(_small_config(5), alpha_step=0.1, threshold=0.4)
+    model = train_hybrid(candidates, corpus, config)
+    order = Generator(config.resolved_split_seed()).permutation(len(candidates))
+    validation = [candidates[i] for i in order[model.n_fit:]]
+    assert len(validation) == model.n_validation
+    p_nt, p_t = channel_probabilities(model, corpus.pairs(validation))
+    labels = np.array([c.label for c in validation])
+    assert (model.alpha, model.validation_f1) == tune_alpha(
+        p_nt, p_t, labels, config.alpha_step, config.threshold
+    )
 
 
 def test_predictions_respect_threshold():

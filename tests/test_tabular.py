@@ -71,6 +71,31 @@ def test_category_map_rejects_unknown_class(tmp_path):
         load_category_maps(path)
 
 
+def test_category_map_keeps_stray_line_breaks_inside_their_row(tmp_path):
+    # Lines end at a line feed only: a carriage return or U+0085 inside a
+    # row stays in its raw label.
+    path = tmp_path / "cm.tsv"
+    path.write_text("In\rProgress\topen\nTo\x85Do\ttask\n", encoding="utf-8")
+    status_map, type_map = load_category_maps(path)
+    assert status_map["in\rprogress"] == "open"
+    assert type_map["to\x85do"] == "task"
+
+
+def test_category_map_faults_count_newlines(tmp_path):
+    path = tmp_path / "cm.tsv"
+    path.write_text(
+        "In\rProgress\topen\r\nTo\x85Do\ttask\nWeird\tnot_a_class\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(CategoryMapError) as caught:
+        load_category_maps(path)
+    assert str(caught.value) == f"{path}:3: unknown reduced class 'not_a_class'"
+    path.write_bytes(b"In\rProgress\topen\nTo\xc2\x85Do\ttask\nbad\xff\n")
+    with pytest.raises(CategoryMapError) as caught:
+        load_category_maps(path)
+    assert str(caught.value) == f"{path}:3: invalid UTF-8 at byte offset 32"
+
+
 def test_reduce_falls_back_on_unseen_labels():
     corpus = _paired_corpus()
     encoder = fit_encoder(_candidates(corpus), corpus)
