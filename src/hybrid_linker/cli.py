@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -126,7 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("validation", "test"),
         help="tune alpha on the held-out validation slice or on the test fold",
     )
-    p.add_argument("--stratified", action="store_true", help="stratify folds by label")
+    p.add_argument(
+        "--stratified",
+        action="store_true",
+        default=None,
+        help="stratify folds by label",
+    )
     p.add_argument("--threshold", type=float, help="decision threshold")
     p.add_argument("--alpha-step", type=float, help="alpha grid step")
     p.add_argument("--out", help="report path; stdout when omitted")
@@ -154,31 +159,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args: argparse.Namespace) -> Config:
+    """The config file's settings, each overridden by the flag of its name."""
     config = load_config(args.config) if args.config else Config()
-    seed = args.seed
-    if seed is None and os.environ.get(SEED_ENV_VAR):
-        text = os.environ[SEED_ENV_VAR]
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+    text = os.environ.get(SEED_ENV_VAR)
+    if overrides["seed"] is None and text:
         try:
             seed = int(text)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR}: expected int, got {text!r}") from None
         if seed < 0:
             raise ConfigError(f"{SEED_ENV_VAR}: must be non-negative, got {seed}")
-    window_days = getattr(args, "window_days", None)
-    if window_days is not None and window_days < 0:
-        window_days = None
+        overrides["seed"] = seed
+    if overrides["window_days"] is not None and overrides["window_days"] < 0:
+        overrides["window_days"] = None
         config = replace(config, window_days=None)
-    overrides = {
-        "seed": seed,
-        "jobs": getattr(args, "jobs", None),
-        "window_days": window_days,
-        "balance_seed": getattr(args, "balance_seed", None),
-        "k": getattr(args, "k", None),
-        "tune_on": getattr(args, "tune_on", None),
-        "threshold": getattr(args, "threshold", None),
-        "alpha_step": getattr(args, "alpha_step", None),
-        "stratified": True if getattr(args, "stratified", False) else None,
-    }
     return apply_overrides(config, **overrides)
 
 

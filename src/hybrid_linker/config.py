@@ -32,26 +32,8 @@ def default_textual_params() -> LearnerParams:
 
 
 def default_nontextual_params() -> dict[str, LearnerParams]:
-    return {
-        "random_forest": LearnerParams(
-            variant="random_forest", n_trees=60, max_depth=15, min_rows=2
-        ),
-        "gradient_boosting": LearnerParams(
-            variant="gradient_boosting",
-            n_trees=60,
-            max_depth=15,
-            min_rows=2,
-            learn_rate=0.1,
-        ),
-        "regularized_gradient_boosting": LearnerParams(
-            variant="regularized_gradient_boosting",
-            n_trees=60,
-            max_depth=15,
-            min_rows=2,
-            learn_rate=0.1,
-            reg_lambda=1.0,
-        ),
-    }
+    # Every ensemble member starts from the learner defaults.
+    return {variant: LearnerParams(variant) for variant in ENSEMBLE_KINDS["RF+GB+XGB"]}
 
 
 @dataclass(frozen=True)

@@ -678,20 +678,15 @@ def synthesize_corpus(
         linked_issue = commit_issue.get(index)
         if linked_issue is not None:
             topic = issue_topics[linked_issue]
-        else:
-            topic = rng.randrange(n_topics)
-
-        if linked_issue is not None:
             anchor = issues[linked_issue].created_date
             gap = rng.uniform(0.02, max_gap_days)
             author_time = anchor + int(gap * SECONDS_PER_DAY)
         else:
+            topic = rng.randrange(n_topics)
             author_time = start + int(rng.uniform(0, span_days) * SECONDS_PER_DAY)
         commit_time = author_time + int(rng.uniform(0, 0.2) * SECONDS_PER_DAY)
 
-        if linked_issue is not None and rng.random() < 0.85:
-            dev = topic_owner[topic]
-        elif linked_issue is None and rng.random() < 0.85:
+        if rng.random() < 0.85:
             dev = topic_owner[topic]
         else:
             dev = rng.randrange(n_devs)

@@ -50,28 +50,28 @@ def kfold(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded permutation split into k folds with sizes differing by at most 1.
 
-    With stratified=True each label value is permuted and split separately,
-    keeping per-fold class shares close to the global ones.
+    Each label value is permuted and split separately, keeping per-fold
+    class shares close to the global ones; plain folds are the stratified
+    folds of a single label value.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if n_items < k:
         raise ValueError(f"cannot make {k} folds from {n_items} items")
+    if stratified and labels is None:
+        raise ValueError("stratified folds need labels")
+    labels = np.asarray(labels) if stratified else np.zeros(n_items)
     rng = Generator(seed)
-    if stratified:
-        if labels is None:
-            raise ValueError("stratified folds need labels")
-        labels = np.asarray(labels)
-        parts: list[list[np.ndarray]] = [[] for _ in range(k)]
-        for value in np.unique(labels):
-            members = np.flatnonzero(labels == value)
-            shuffled = members[rng.permutation(len(members))]
-            for fold_index, chunk in enumerate(np.array_split(shuffled, k)):
-                parts[fold_index].append(chunk)
-        tests = [np.concatenate(chunks) for chunks in parts]
-    else:
-        order = np.array(rng.permutation(n_items), dtype=np.int64)
-        tests = list(np.array_split(order, k))
+    parts: list[list[np.ndarray]] = [[] for _ in range(k)]
+    # The distinct labels in np.unique's order; np.unique itself would import
+    # numpy.ma, about 1 MiB of resident memory, on its first call.
+    ordered = np.sort(labels)
+    for value in ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]:
+        members = np.flatnonzero(labels == value)
+        shuffled = members[rng.permutation(len(members))]
+        for fold_index, chunk in enumerate(np.array_split(shuffled, k)):
+            parts[fold_index].append(chunk)
+    tests = [np.concatenate(chunks) for chunks in parts]
     folds = []
     for fold_index in range(k):
         test = tests[fold_index]

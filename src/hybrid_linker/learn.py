@@ -4,8 +4,9 @@ Six variants share one parameter record and one training entry point:
 a CART decision tree, a random forest, logistic-loss gradient boosting,
 its lambda-regularized second-order variant, Gaussian naive Bayes, and
 an SGD-trained logistic regression. All of them consume dense feature
-matrices, the package's Csr matrices or SciPy sparse ones (read as a Csr),
-and binary 0/1 labels, and emit a probability for class 1.
+matrices, the package's Csr matrices or SciPy sparse ones, and binary 0/1
+labels, and emit a probability for class 1. ``train`` checks its input once
+and hands each trainer a checked Csr.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from functools import partial
 import numpy as np
 
 from . import HybridLinkerError, _json
-from ._csr import as_csr, is_sparse
+from ._csr import Csr, as_csr, is_sparse
 from ._pcg import Generator
-from ._tree import ColumnIndex, GrowSpec, Tree, grow_tree, pack
+from ._tree import _DENSE_ENTRIES, ColumnIndex, GrowSpec, Tree, grow_tree, pack
 
 VARIANTS = (
     "decision_tree",
@@ -141,10 +142,8 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _check_training_input(X, y):
-    if is_sparse(X):
-        X = as_csr(X)
-    else:
+def _check_training_input(X, y) -> tuple[Csr, np.ndarray]:
+    if not is_sparse(X):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise LearnerError("X must be two-dimensional")
@@ -157,28 +156,26 @@ def _check_training_input(X, y):
         raise LearnerError("need at least two training rows")
     if y.min() == y.max():
         raise LearnerError("training data must contain both classes")
-    return X, y
+    return as_csr(X), y
 
 
-def _train_decision_tree(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = as_csr(X)
-    index = ColumnIndex(Xc)
-    n = Xc.shape[0]
+def _train_decision_tree(params: LearnerParams, X: Csr, y) -> TrainedLearner:
+    index = ColumnIndex(X)
+    n = X.shape[0]
     ones = np.ones(n, dtype=np.float64)
     spec = GrowSpec(
         mode="gini", max_depth=params.max_depth, min_rows=params.min_rows
     )
     tree, _ = grow_tree(index, np.arange(n), y * ones, ones, ones, spec)
     return TrainedLearner(
-        variant=params.variant, params=params, width=Xc.shape[1],
+        variant=params.variant, params=params, width=X.shape[1],
         trees=tree, tree_scales=(1.0,),
     )
 
 
-def _train_random_forest(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = as_csr(X)
-    index = ColumnIndex(Xc)
-    n, width = Xc.shape
+def _train_random_forest(params: LearnerParams, X: Csr, y) -> TrainedLearner:
+    index = ColumnIndex(X)
+    n, width = X.shape
     n_sub = max(1, int(math.sqrt(width)))
     trees = []
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
@@ -203,10 +200,9 @@ def _train_random_forest(params: LearnerParams, X, y) -> TrainedLearner:
     )
 
 
-def _train_boosting(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = as_csr(X)
-    index = ColumnIndex(Xc)
-    n, width = Xc.shape
+def _train_boosting(params: LearnerParams, X: Csr, y) -> TrainedLearner:
+    index = ColumnIndex(X)
+    n, width = X.shape
     rows = np.arange(n)
     ones = np.ones(n, dtype=np.float64)
     prior = min(max(float(np.mean(y)), 1e-12), 1.0 - 1e-12)
@@ -248,13 +244,12 @@ def _train_boosting(params: LearnerParams, X, y) -> TrainedLearner:
     )
 
 
-def _train_linear_sgd(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = as_csr(X)
-    n, width = Xc.shape
+def _train_linear_sgd(params: LearnerParams, X: Csr, y) -> TrainedLearner:
+    n, width = X.shape
     weights = np.zeros(width, dtype=np.float64)
     bias = 0.0
     rng = Generator(params.seed)
-    indptr, indices, data = Xc.indptr, Xc.indices, Xc.data
+    indptr, indices, data = X.indptr, X.indices, X.data
     step_count = 1
     for _ in range(params.epochs):
         for i in rng.permutation(n):
@@ -273,11 +268,10 @@ def _train_linear_sgd(params: LearnerParams, X, y) -> TrainedLearner:
     )
 
 
-def _train_naive_bayes(params: LearnerParams, X, y) -> TrainedLearner:
-    Xc = as_csr(X)
-    n, width = Xc.shape
-    sum_all = Xc.column_sums()
-    sq_all = Xc.squared_column_sums()
+def _train_naive_bayes(params: LearnerParams, X: Csr, y) -> TrainedLearner:
+    n, width = X.shape
+    sum_all = X.column_sums()
+    sq_all = X.squared_column_sums()
     global_var = sq_all / n - (sum_all / n) ** 2
     smoothing = 1e-9 * float(global_var.max()) if width else 0.0
     means = np.zeros((2, width), dtype=np.float64)
@@ -286,7 +280,7 @@ def _train_naive_bayes(params: LearnerParams, X, y) -> TrainedLearner:
     for cls in (0, 1):
         mask = y == cls
         count = int(mask.sum())
-        part = Xc[np.flatnonzero(mask)]
+        part = X[np.flatnonzero(mask)]
         s = part.column_sums()
         q = part.squared_column_sums()
         means[cls] = s / count
@@ -301,22 +295,29 @@ def _train_naive_bayes(params: LearnerParams, X, y) -> TrainedLearner:
 def train(params: LearnerParams, X, y) -> TrainedLearner:
     """Train one learner; dispatches on params.variant."""
     X, y = _check_training_input(X, y)
-    if params.variant == "decision_tree":
-        return _train_decision_tree(params, X, y)
-    if params.variant == "random_forest":
-        return _train_random_forest(params, X, y)
-    if params.variant in ("gradient_boosting", "regularized_gradient_boosting"):
-        return _train_boosting(params, X, y)
     if params.variant == "logistic_regression":
         return _train_linear_sgd(params, X, y)
-    return _train_naive_bayes(params, X, y)
+    if params.variant == "naive_bayes":
+        return _train_naive_bayes(params, X, y)
+    try:
+        if params.variant == "decision_tree":
+            return _train_decision_tree(params, X, y)
+        if params.variant == "random_forest":
+            return _train_random_forest(params, X, y)
+        return _train_boosting(params, X, y)
+    except RecursionError:
+        # grow_tree recurses once per tree level.
+        raise LearnerError(
+            f"{params.variant}: max_depth {params.max_depth} grows a tree deeper "
+            "than the interpreter's recursion limit; lower max_depth"
+        ) from None
 
 
 def _nb_predict(model: TrainedLearner, X) -> np.ndarray:
     Xc = as_csr(X)
     n = Xc.shape[0]
     joint = np.empty((n, 2), dtype=np.float64)
-    chunk = max(1, 4_000_000 // max(1, model.width))
+    chunk = max(1, _DENSE_ENTRIES // max(1, model.width))
     for start in range(0, n, chunk):
         block = Xc[start : start + chunk].toarray()
         for cls in (0, 1):

@@ -148,7 +148,7 @@ def fit_transform(
 
 @dataclass(frozen=True)
 class TextualVectorizers:
-    """The three per-channel TF-IDF models and their block offsets."""
+    """The issue, message and code TF-IDF models; a pair row joins their blocks."""
 
     issue: TfidfModel
     message: TfidfModel
@@ -157,10 +157,6 @@ class TextualVectorizers:
     @property
     def width(self) -> int:
         return self.issue.width + self.message.width + self.code.width
-
-    @property
-    def offsets(self) -> tuple[int, int, int]:
-        return (0, self.issue.width, self.issue.width + self.message.width)
 
 
 def _documents(pairs, stopwords: frozenset[str] | None):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -234,6 +235,88 @@ def test_negative_window_means_uncapped(workspace, capsys):
     assert code == 0
     echoed = json.loads(err.split("effective-config ", 1)[1].splitlines()[0])
     assert echoed["window_days"] is None
+
+
+def _echoed(err: str) -> dict:
+    return json.loads(err.split("effective-config ", 1)[1].splitlines()[0])
+
+
+def test_config_file_stratified_survives_evaluate_without_the_flag(workspace, capsys):
+    corpus = workspace / "corpus"
+    cands = workspace / "cands.tsv"
+    _run(capsys, "synth", "--seed", 4, "--issues", 20, "--commits", 20,
+         "--out", corpus)
+    _run(capsys, "gen-links", "--corpus", corpus, "--seed", 4, "--out", cands)
+    config = workspace / "stratified.json"
+    config.write_text(
+        json.dumps({"k": 3, "stratified": True, **FAST_LEARNERS}), encoding="utf-8"
+    )
+    report = workspace / "report.json"
+    code, _, err = _run(
+        capsys, "evaluate", "--config", config, "--corpus", corpus,
+        "--candidates", cands, "--out", report,
+    )
+    assert code == 0
+    assert _echoed(err)["stratified"] is True
+    assert json.loads(report.read_text(encoding="utf-8"))["config"]["stratified"]
+
+
+# Each flag that names a Config field: (field, subcommand and flag, value set).
+_FIELD_FLAGS = [
+    ("seed", ["gen-links", "--seed", "11"], 11),
+    ("jobs", ["gen-links", "--jobs", "3"], 3),
+    ("window_days", ["gen-links", "--window-days", "3"], 3),
+    ("balance_seed", ["gen-links", "--balance-seed", "9"], 9),
+    ("k", ["evaluate", "--k", "4"], 4),
+    ("tune_on", ["evaluate", "--tune-on", "test"], "test"),
+    ("threshold", ["evaluate", "--threshold", "0.25"], 0.25),
+    ("alpha_step", ["evaluate", "--alpha-step", "0.2"], 0.2),
+    ("stratified", ["evaluate", "--stratified"], True),
+]
+
+_FILE_VALUES = {
+    "seed": 1, "jobs": 2, "window_days": 7, "balance_seed": 1, "split_seed": 1,
+    "fold_seed": 1, "k": 3, "tune_on": "validation", "threshold": 0.5,
+    "alpha_step": 0.05, "stratified": False,
+}
+
+
+def test_field_flags_list_every_flag_that_names_a_config_field():
+    names = {item.name for item in dataclasses.fields(Config)}
+    commands = build_parser.__wrapped__()._subparsers._group_actions[0].choices
+    dests = {
+        action.dest
+        for command in commands.values()
+        for action in command._actions
+        if action.dest in names
+    }
+    assert dests == {name for name, _, _ in _FIELD_FLAGS}
+
+
+@pytest.mark.parametrize(
+    "name, argv, value", _FIELD_FLAGS, ids=[name for name, _, _ in _FIELD_FLAGS]
+)
+def test_each_flag_overrides_the_config_field_of_its_name(
+    workspace, capsys, monkeypatch, name, argv, value
+):
+    monkeypatch.delenv("HYBRID_LINKER_SEED", raising=False)
+    config = workspace / "fields.json"
+    config.write_text(json.dumps(_FILE_VALUES), encoding="utf-8")
+    # The corpus is missing, so each run exits 1 after echoing its config.
+    inputs = {
+        "gen-links": ["--corpus", workspace / "nowhere", "--out", workspace / "x"],
+        "evaluate": ["--corpus", workspace / "nowhere", "--candidates", "x"],
+    }
+    command = [argv[0], "--config", config, *inputs[argv[0]]]
+    code, _, err = _run(capsys, *command)
+    assert code == 1
+    before = _echoed(err)
+    code, _, err = _run(capsys, *command, *argv[1:])
+    assert code == 1
+    after = _echoed(err)
+    assert before[name] == _FILE_VALUES[name]
+    assert after[name] == value
+    assert {key for key in after if after[key] != before[key]} == {name}
 
 
 def test_seed_env_default(workspace, capsys, monkeypatch):

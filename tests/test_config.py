@@ -39,6 +39,27 @@ def _members(params: LearnerParams) -> dict[str, LearnerParams]:
     return {name: replace(params, variant=name) for name in default_nontextual_params()}
 
 
+def test_ensemble_defaults_keep_their_values():
+    # Pinned so that a change to LearnerParams' defaults shows here.
+    assert default_nontextual_params() == {
+        "random_forest": LearnerParams(
+            variant="random_forest", n_trees=60, max_depth=15, min_rows=2,
+            learn_rate=0.1, learn_rate_annealing=1.0, n_estimators=None,
+            reg_lambda=1.0, epochs=20, seed=0,
+        ),
+        "gradient_boosting": LearnerParams(
+            variant="gradient_boosting", n_trees=60, max_depth=15, min_rows=2,
+            learn_rate=0.1, learn_rate_annealing=1.0, n_estimators=None,
+            reg_lambda=1.0, epochs=20, seed=0,
+        ),
+        "regularized_gradient_boosting": LearnerParams(
+            variant="regularized_gradient_boosting", n_trees=60, max_depth=15,
+            min_rows=2, learn_rate=0.1, learn_rate_annealing=1.0,
+            n_estimators=None, reg_lambda=1.0, epochs=20, seed=0,
+        ),
+    }
+
+
 def test_nontextual_variant_must_match_its_key():
     data = {"nontextual": {"random_forest": {"variant": "naive_bayes"}}}
     with pytest.raises(ConfigError, match="^nontextual.random_forest: variant"):

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hybrid_linker
 from hybrid_linker.config import Config, apply_overrides
 from hybrid_linker.corpus import SignalParams, synthesize_corpus
 from hybrid_linker.evaluation import (
@@ -104,6 +112,46 @@ def test_kfold_validates_arguments():
         kfold(5, 1, seed=0)
     with pytest.raises(ValueError):
         kfold(3, 4, seed=0)
+
+
+def test_stratified_folds_need_labels():
+    with pytest.raises(ValueError, match="^stratified folds need labels$"):
+        kfold(6, 2, seed=0, stratified=True)
+
+
+def test_kfold_loads_no_further_numpy_module():
+    # np.unique imports numpy.ma on first use, about 1 MiB of resident memory.
+    script = (
+        "import sys\n"
+        "from hybrid_linker.evaluation import kfold\n"
+        "loaded = set(sys.modules)\n"
+        "kfold(24, 3, 1)\n"
+        "kfold(24, 3, 1, labels=[0, 1] * 12, stratified=True)\n"
+        "print(sorted(set(sys.modules) - loaded))\n"
+    )
+    src = str(Path(hybrid_linker.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+@settings(max_examples=100)
+@given(
+    st.data(), st.integers(2, 7), st.integers(0, 2**40), st.sampled_from([0, 1, 2.5])
+)
+def test_plain_folds_are_stratified_folds_of_one_label(data, k, seed, label):
+    n = data.draw(st.integers(k, 60))
+    plain = kfold(n, k, seed)
+    one_label = kfold(n, k, seed, labels=[label] * n, stratified=True)
+    assert len(plain) == len(one_label) == k
+    for got, want in zip(plain, one_label):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 def test_cross_validate_report_shape_and_determinism():

@@ -260,6 +260,14 @@ def test_params_stage_count_prefers_n_estimators():
     assert fallback.n_stages == 60
 
 
+@pytest.mark.parametrize("variant", ["decision_tree", "gradient_boosting"])
+def test_a_tree_deeper_than_the_recursion_limit_is_a_learner_error(variant):
+    params = LearnerParams(variant, max_depth=100000, min_rows=1, n_trees=1)
+    X = np.arange(1, 3001.0)[:, None]
+    with pytest.raises(LearnerError, match=f"^{variant}: max_depth 100000 "):
+        train(params, X, np.arange(3000) % 2)
+
+
 def test_negative_seed_is_rejected_by_name():
     with pytest.raises(LearnerError, match="^seed must be non-negative"):
         LearnerParams(variant="random_forest", seed=-1, n_trees=2)

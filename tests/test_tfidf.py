@@ -255,7 +255,8 @@ def _oracle_featurize_pairs_textual(
 ) -> sp.csr_matrix:
     issue_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     commit_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    _, message_offset, code_offset = vectorizers.offsets
+    message_offset = vectorizers.issue.width
+    code_offset = message_offset + vectorizers.message.width
     indptr = [0]
     all_indices: list[np.ndarray] = []
     all_values: list[np.ndarray] = []
