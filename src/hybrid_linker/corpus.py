@@ -3,6 +3,15 @@
 A corpus is a directory holding ``issues.jsonl`` and ``commits.jsonl``, one
 JSON object per line. Timestamps are ISO-8601 strings with a zone designator
 on disk and UTC epoch seconds (int) in memory.
+
+The annotations on Issue and Commit are the record schema: the checked
+reader and the writer take each field's kind from them. A new field takes
+its annotation plus its lines in the fast builder (_fast_issue or
+_fast_commit), and the test that pins the fast builders' records to the
+checked reader's fails until those lines are written. The fast builders
+stay hand-unrolled because they build every record of every corpus load:
+on a 2-CPU Xeon VM, they built 4,000 decoded issues in 10.4-11.0 ms, where
+a loop over the fields with their kinds planned once took 11.3-14.0 ms.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import HybridLinkerError
+from ._json import type_hints
 
 SECONDS_PER_DAY = 86400
 
@@ -144,68 +154,39 @@ class Corpus:
         ]
 
 
-def _require(record: dict, key: str, where: str):
-    if key not in record:
-        raise CorpusFormatError(f"{where}: missing required field {key!r}")
-    return record[key]
+# Each record field's kind is read from its annotation on Issue or Commit:
+# str is text, int a timestamp, int | None a timestamp that may be null or
+# absent, and tuple[str, ...] a list of text.
+_NULLABLE_TIME = int | None
+_TEXT_LIST = tuple[str, ...]
 
 
-def _str_field(record: dict, key: str, where: str) -> str:
-    value = _require(record, key, where)
-    if not isinstance(value, str):
-        raise CorpusFormatError(f"{where}: field {key!r} must be a string")
-    return value
-
-
-def _time_field(record: dict, key: str, where: str) -> int:
-    value = _require(record, key, where)
-    try:
-        return parse_timestamp(value)
-    except ValueError as exc:
-        raise CorpusFormatError(f"{where}: field {key!r}: {exc}") from None
-
-
-def _issue_from_record(record: dict, where: str) -> Issue:
-    resolved = record.get("resolved_date")
-    if resolved is not None:
-        try:
-            resolved = parse_timestamp(resolved)
-        except ValueError as exc:
-            raise CorpusFormatError(
-                f"{where}: field 'resolved_date': {exc}"
-            ) from None
-    return Issue(
-        issue_id=_str_field(record, "issue_id", where),
-        project=_str_field(record, "project", where),
-        summary=_str_field(record, "summary", where),
-        description=_str_field(record, "description", where),
-        raw_type=_str_field(record, "raw_type", where),
-        raw_status=_str_field(record, "raw_status", where),
-        created_date=_time_field(record, "created_date", where),
-        updated_date=_time_field(record, "updated_date", where),
-        resolved_date=resolved,
-        reporter=_str_field(record, "reporter", where),
-        creator=_str_field(record, "creator", where),
-    )
-
-
-def _commit_from_record(record: dict, where: str) -> Commit:
-    linked = _require(record, "linked_issue_ids", where)
-    if not isinstance(linked, list) or not all(isinstance(x, str) for x in linked):
-        raise CorpusFormatError(
-            f"{where}: field 'linked_issue_ids' must be a list of strings"
-        )
-    return Commit(
-        commit_hash=_str_field(record, "commit_hash", where),
-        project=_str_field(record, "project", where),
-        message=_str_field(record, "message", where),
-        diff_text=_str_field(record, "diff_text", where),
-        author=_str_field(record, "author", where),
-        committer=_str_field(record, "committer", where),
-        author_time_date=_time_field(record, "author_time_date", where),
-        commit_time_date=_time_field(record, "commit_time_date", where),
-        linked_issue_ids=tuple(linked),
-    )
+def _checked_record(cls, record: dict, where: str):
+    """The Issue or Commit a decoded record holds; CorpusFormatError names
+    where and the record's first fault in field order."""
+    values = {}
+    for key, kind in type_hints(cls).items():
+        if key not in record and kind != _NULLABLE_TIME:
+            raise CorpusFormatError(f"{where}: missing required field {key!r}")
+        value = record.get(key)
+        if kind is str:
+            if not isinstance(value, str):
+                raise CorpusFormatError(f"{where}: field {key!r} must be a string")
+        elif kind == _TEXT_LIST:
+            if not isinstance(value, list) or not all(
+                isinstance(x, str) for x in value
+            ):
+                raise CorpusFormatError(
+                    f"{where}: field {key!r} must be a list of strings"
+                )
+            value = tuple(value)
+        elif value is not None or kind is int:
+            try:
+                value = parse_timestamp(value)
+            except ValueError as exc:
+                raise CorpusFormatError(f"{where}: field {key!r}: {exc}") from None
+        values[key] = value
+    return cls(**values)
 
 
 # The fast builders take a decoded record whose fields are all present and
@@ -215,8 +196,7 @@ def _commit_from_record(record: dict, where: str) -> Commit:
 # Setting keys one at a time keeps the class's shared-key dict layout, which
 # dict.update from a dict would replace with a larger private table. Any fault
 # raises KeyError, TypeError or ValueError, and the line is then rebuilt by
-# the checked builder above, which raises the message that locates the
-# first fault.
+# _checked_record, which raises the message that locates the first fault.
 _ISSUE_TEXT = itemgetter(
     "issue_id", "project", "summary", "description", "raw_type", "raw_status",
     "reporter", "creator",
@@ -308,12 +288,13 @@ def _locate_decode_error(path: Path) -> str:
 _decode = json.JSONDecoder().raw_decode
 
 
-def _read_jsonl(path: Path, fast, checked) -> list:
-    """Build each record with fast; a line it cannot take goes through checked.
+def _read_jsonl(path: Path, cls, fast) -> list:
+    """Build each record of class cls with fast; a line it cannot take goes
+    through _checked_record.
 
     fast gets a line that decodes to exactly one JSON object. Every other
     line, and every record fast rejects, is decoded again with json.loads and
-    built by checked, which raises the located message.
+    built by _checked_record, which raises the located message.
     """
     records = []
     try:
@@ -338,7 +319,7 @@ def _read_jsonl(path: Path, fast, checked) -> list:
                     raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from None
                 if not isinstance(raw, dict):
                     raise CorpusFormatError(f"{where}: record must be a JSON object")
-                records.append(checked(raw, where))
+                records.append(_checked_record(cls, raw, where))
     except UnicodeDecodeError:
         raise CorpusFormatError(_locate_decode_error(path)) from None
     return records
@@ -396,8 +377,8 @@ def validate_corpus(corpus: Corpus) -> None:
 
 def load_corpus(issues_path: str | Path, commits_path: str | Path) -> Corpus:
     """Load and validate a corpus from its two JSON Lines files."""
-    issues = _read_jsonl(Path(issues_path), _fast_issue, _issue_from_record)
-    commits = _read_jsonl(Path(commits_path), _fast_commit, _commit_from_record)
+    issues = _read_jsonl(Path(issues_path), Issue, _fast_issue)
+    commits = _read_jsonl(Path(commits_path), Commit, _fast_commit)
     if not issues and not commits:
         raise CorpusValidationError(
             f"corpus has no records ({issues_path}, {commits_path})"
@@ -417,37 +398,28 @@ def load_corpus_dir(directory: str | Path) -> Corpus:
     return load_corpus(directory / ISSUES_FILENAME, directory / COMMITS_FILENAME)
 
 
-def _issue_to_record(issue: Issue) -> dict:
-    record = {
-        "issue_id": issue.issue_id,
-        "project": issue.project,
-        "summary": issue.summary,
-        "description": issue.description,
-        "raw_type": issue.raw_type,
-        "raw_status": issue.raw_status,
-        "created_date": format_timestamp(issue.created_date),
-        "updated_date": format_timestamp(issue.updated_date),
-        "resolved_date": None
-        if issue.resolved_date is None
-        else format_timestamp(issue.resolved_date),
-        "reporter": issue.reporter,
-        "creator": issue.creator,
-    }
+# The timestamp and list fields of each record class, which _to_record
+# converts; its text fields are written as they are.
+_RECORD_PLANS = {
+    cls: (
+        tuple(k for k, kind in type_hints(cls).items() if kind in (int, _NULLABLE_TIME)),
+        tuple(k for k, kind in type_hints(cls).items() if kind == _TEXT_LIST),
+    )
+    for cls in (Issue, Commit)
+}
+
+
+def _to_record(item: Issue | Commit) -> dict:
+    """The JSON object an Issue or Commit is saved as."""
+    record = vars(item).copy()
+    times, lists = _RECORD_PLANS[type(item)]
+    for key in times:
+        value = record[key]
+        if value is not None:
+            record[key] = format_timestamp(value)
+    for key in lists:
+        record[key] = list(record[key])
     return record
-
-
-def _commit_to_record(commit: Commit) -> dict:
-    return {
-        "commit_hash": commit.commit_hash,
-        "project": commit.project,
-        "message": commit.message,
-        "diff_text": commit.diff_text,
-        "author": commit.author,
-        "committer": commit.committer,
-        "author_time_date": format_timestamp(commit.author_time_date),
-        "commit_time_date": format_timestamp(commit.commit_time_date),
-        "linked_issue_ids": list(commit.linked_issue_ids),
-    }
 
 
 # Writes what json.dumps(record, sort_keys=True) writes, without building a
@@ -458,12 +430,10 @@ _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 def save_corpus(corpus: Corpus, issues_path: str | Path, commits_path: str | Path) -> None:
     """Write a corpus back to JSON Lines files; inverse of load_corpus."""
     encode = _RECORD_ENCODER.encode
-    with open(issues_path, "w", encoding="utf-8") as handle:
-        for issue in corpus.issues:
-            handle.write(encode(_issue_to_record(issue)) + "\n")
-    with open(commits_path, "w", encoding="utf-8") as handle:
-        for commit in corpus.commits:
-            handle.write(encode(_commit_to_record(commit)) + "\n")
+    for path, items in ((issues_path, corpus.issues), (commits_path, corpus.commits)):
+        with open(path, "w", encoding="utf-8") as handle:
+            for item in items:
+                handle.write(encode(_to_record(item)) + "\n")
 
 
 def save_corpus_dir(corpus: Corpus, directory: str | Path) -> None:

@@ -61,6 +61,9 @@ def kfold(
     if stratified and labels is None:
         raise ValueError("stratified folds need labels")
     labels = np.asarray(labels) if stratified else np.zeros(n_items)
+    # NaN equals no label value, so its items would reach no test fold.
+    if labels.dtype.kind in "fc" and np.isnan(labels).any():
+        raise ValueError("stratified folds need labels that are not NaN")
     rng = Generator(seed)
     parts: list[list[np.ndarray]] = [[] for _ in range(k)]
     # The distinct labels in np.unique's order; np.unique itself would import

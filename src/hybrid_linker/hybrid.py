@@ -69,7 +69,8 @@ def fuse_arrays(
     p_nontextual = np.asarray(p_nontextual)
     p_textual = np.asarray(p_textual)
     for name, values in (("p_nontextual", p_nontextual), ("p_textual", p_textual)):
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        # Written so that NaN, which fails every comparison, is out of range.
+        if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise HybridError(f"{name} values must lie in [0, 1]")
     return alpha * p_nontextual + (1.0 - alpha) * p_textual
 
@@ -91,10 +92,15 @@ class Metrics:
 
 def metrics(predicted, actual) -> Metrics:
     """Precision, recall, F1 for binary labels; zero denominators give 0."""
-    predicted = np.asarray(predicted).astype(bool)
-    actual = np.asarray(actual).astype(bool)
+    predicted = np.asarray(predicted)
+    actual = np.asarray(actual)
     if predicted.shape != actual.shape:
         raise ValueError("predicted and actual label arrays differ in length")
+    for name, values in (("predicted", predicted), ("actual", actual)):
+        if values.dtype != bool and not ((values == 0) | (values == 1)).all():
+            raise ValueError(f"{name} labels must be 0 or 1")
+    predicted = predicted.astype(bool)
+    actual = actual.astype(bool)
     tp = int(np.sum(predicted & actual))
     fp = int(np.sum(predicted & ~actual))
     fn = int(np.sum(~predicted & actual))

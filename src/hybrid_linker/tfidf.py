@@ -137,15 +137,6 @@ def _transform_rows(blocks: list[tuple[TfidfModel, list[TokenStream]]]) -> Csr:
     return Csr.from_arrays(values, cols, indptr, (n_rows, n_cols))
 
 
-def fit_transform(
-    documents: list[TokenStream],
-    ngram_range: tuple[int, int] = DEFAULT_NGRAM_RANGE,
-    max_features: int = DEFAULT_MAX_FEATURES,
-) -> tuple[TfidfModel, Csr]:
-    model = fit(documents, ngram_range, max_features)
-    return model, _transform_rows([(model, documents)])
-
-
 @dataclass(frozen=True)
 class TextualVectorizers:
     """The issue, message and code TF-IDF models; a pair row joins their blocks."""

@@ -7,6 +7,12 @@ import hashlib
 from hypothesis import settings
 
 from hybrid_linker.corpus import Commit, Corpus, Issue
+from hybrid_linker.tfidf import (
+    DEFAULT_MAX_FEATURES,
+    DEFAULT_NGRAM_RANGE,
+    _transform_rows,
+    fit,
+)
 
 # Property tests draw the same examples on every run and never time out, so
 # the suite stays deterministic on slow machines.
@@ -75,3 +81,13 @@ def make_commit(
 
 def make_corpus(issues, commits, project: str = "demo") -> Corpus:
     return Corpus(project=project, issues=tuple(issues), commits=tuple(commits))
+
+
+def fit_transform(
+    documents,
+    ngram_range: tuple[int, int] = DEFAULT_NGRAM_RANGE,
+    max_features: int = DEFAULT_MAX_FEATURES,
+):
+    """A TF-IDF model fitted on documents, and their rows under it."""
+    model = fit(documents, ngram_range, max_features)
+    return model, _transform_rows([(model, documents)])

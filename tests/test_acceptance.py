@@ -48,8 +48,8 @@ from hybrid_linker.textprep import (
     extract_code_terms,
     load_stopwords,
 )
-from hybrid_linker.tfidf import featurize_pairs_textual, fit_transform, fit_vectorizers
-from tests.conftest import DAY, T0, make_commit, make_corpus, make_issue
+from hybrid_linker.tfidf import featurize_pairs_textual, fit_vectorizers
+from tests.conftest import DAY, T0, fit_transform, make_commit, make_corpus, make_issue
 
 SECONDS_PER_DAY = 86_400
 

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import tempfile
+import typing
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import lru_cache
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 from hybrid_linker import corpus as corpus_module
 from hybrid_linker.corpus import (
+    Commit,
     CorpusFormatError,
     CorpusValidationError,
+    Issue,
     SignalParams,
     _locate_decode_error,
     format_timestamp,
@@ -445,10 +448,121 @@ def _oracle_read_jsonl(path: Path, builder) -> list:
     return records
 
 
+# The checked builders and writers as they were when each field was spelled
+# out by hand, kept verbatim (bar the _oracle prefix) as oracles: the checked
+# record path must give their records and their messages, and _to_record
+# their objects. They checked resolved_date and linked_issue_ids before the
+# other fields, so only a record with several faults may name another one.
+
+
+def _oracle_require(record: dict, key: str, where: str):
+    if key not in record:
+        raise CorpusFormatError(f"{where}: missing required field {key!r}")
+    return record[key]
+
+
+def _oracle_str_field(record: dict, key: str, where: str) -> str:
+    value = _oracle_require(record, key, where)
+    if not isinstance(value, str):
+        raise CorpusFormatError(f"{where}: field {key!r} must be a string")
+    return value
+
+
+def _oracle_time_field(record: dict, key: str, where: str) -> int:
+    value = _oracle_require(record, key, where)
+    try:
+        return parse_timestamp(value)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{where}: field {key!r}: {exc}") from None
+
+
+def _oracle_issue_from_record(record: dict, where: str) -> Issue:
+    resolved = record.get("resolved_date")
+    if resolved is not None:
+        try:
+            resolved = parse_timestamp(resolved)
+        except ValueError as exc:
+            raise CorpusFormatError(
+                f"{where}: field 'resolved_date': {exc}"
+            ) from None
+    return Issue(
+        issue_id=_oracle_str_field(record, "issue_id", where),
+        project=_oracle_str_field(record, "project", where),
+        summary=_oracle_str_field(record, "summary", where),
+        description=_oracle_str_field(record, "description", where),
+        raw_type=_oracle_str_field(record, "raw_type", where),
+        raw_status=_oracle_str_field(record, "raw_status", where),
+        created_date=_oracle_time_field(record, "created_date", where),
+        updated_date=_oracle_time_field(record, "updated_date", where),
+        resolved_date=resolved,
+        reporter=_oracle_str_field(record, "reporter", where),
+        creator=_oracle_str_field(record, "creator", where),
+    )
+
+
+def _oracle_commit_from_record(record: dict, where: str) -> Commit:
+    linked = _oracle_require(record, "linked_issue_ids", where)
+    if not isinstance(linked, list) or not all(isinstance(x, str) for x in linked):
+        raise CorpusFormatError(
+            f"{where}: field 'linked_issue_ids' must be a list of strings"
+        )
+    return Commit(
+        commit_hash=_oracle_str_field(record, "commit_hash", where),
+        project=_oracle_str_field(record, "project", where),
+        message=_oracle_str_field(record, "message", where),
+        diff_text=_oracle_str_field(record, "diff_text", where),
+        author=_oracle_str_field(record, "author", where),
+        committer=_oracle_str_field(record, "committer", where),
+        author_time_date=_oracle_time_field(record, "author_time_date", where),
+        commit_time_date=_oracle_time_field(record, "commit_time_date", where),
+        linked_issue_ids=tuple(linked),
+    )
+
+
+def _oracle_issue_to_record(issue: Issue) -> dict:
+    record = {
+        "issue_id": issue.issue_id,
+        "project": issue.project,
+        "summary": issue.summary,
+        "description": issue.description,
+        "raw_type": issue.raw_type,
+        "raw_status": issue.raw_status,
+        "created_date": format_timestamp(issue.created_date),
+        "updated_date": format_timestamp(issue.updated_date),
+        "resolved_date": None
+        if issue.resolved_date is None
+        else format_timestamp(issue.resolved_date),
+        "reporter": issue.reporter,
+        "creator": issue.creator,
+    }
+    return record
+
+
+def _oracle_commit_to_record(commit: Commit) -> dict:
+    return {
+        "commit_hash": commit.commit_hash,
+        "project": commit.project,
+        "message": commit.message,
+        "diff_text": commit.diff_text,
+        "author": commit.author,
+        "committer": commit.committer,
+        "author_time_date": format_timestamp(commit.author_time_date),
+        "commit_time_date": format_timestamp(commit.commit_time_date),
+        "linked_issue_ids": list(commit.linked_issue_ids),
+    }
+
+
+# Per kind of file: its record class, fast builder and oracle builder.
 READERS = {
-    "issues": (corpus_module._fast_issue, corpus_module._issue_from_record),
-    "commits": (corpus_module._fast_commit, corpus_module._commit_from_record),
+    "issues": (Issue, corpus_module._fast_issue, _oracle_issue_from_record),
+    "commits": (Commit, corpus_module._fast_commit, _oracle_commit_from_record),
 }
+
+
+def _checked(kind: str):
+    """The checked record builder of a kind of file, as the reader calls it."""
+    cls = READERS[kind][0]
+    return lambda record, where: corpus_module._checked_record(cls, record, where)
 
 
 @lru_cache(maxsize=1)
@@ -466,17 +580,18 @@ def _saved_records() -> dict[str, list[dict]]:
         }
 
 
-def _read_both_ways(kind: str, lines: list[str]):
-    """What the reader and its oracle give for a file of these lines: the
-    records, or the type and text of the error."""
-    fast, checked = READERS[kind]
+def _read_both_ways(kind: str, lines: list[str], builder=None):
+    """What the reader and the oracle reader give for a file of these lines:
+    the records, or the type and text of the error. The oracle reader builds
+    records with builder, by default the checked record builder."""
+    cls, fast, _ = READERS[kind]
     outcomes = []
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / f"{kind}.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         for read in (
-            lambda: corpus_module._read_jsonl(path, fast, checked),
-            lambda: _oracle_read_jsonl(path, checked),
+            lambda: corpus_module._read_jsonl(path, cls, fast),
+            lambda: _oracle_read_jsonl(path, builder or _checked(kind)),
         ):
             try:
                 outcomes.append(read())
@@ -541,9 +656,70 @@ def test_every_single_fault_fails_like_the_checked_builders(kind):
         cases.append({k: v for k, v in record.items() if k != key})
         for wrong in WRONG_VALUES:
             cases.append({**record, key: wrong})
+        if key in TIME_FIELDS:
+            cases.append({**record, key: "2019-01-01T00:00:00"})
     for case in cases:
-        got, want = _read_both_ways(kind, [json.dumps(case)])
+        lines = [json.dumps(case)]
+        got, want = _read_both_ways(kind, lines)
         assert got == want, case
+        got, want = _read_both_ways(kind, lines, READERS[kind][2])
+        assert got == want, case
+
+
+def _first_fault(kind: str, record: dict):
+    """The oracle's message for the first field, in field order, that it
+    rejects when that field alone is taken from record into an intact one;
+    the oracle's record if it rejects none."""
+    intact = _saved_records()[kind][0]
+    oracle = READERS[kind][2]
+    for field in dataclasses.fields(READERS[kind][0]):
+        single = {k: v for k, v in intact.items() if k != field.name}
+        if field.name in record:
+            single[field.name] = record[field.name]
+        try:
+            oracle(single, "where")
+        except CorpusFormatError as exc:
+            return str(exc)
+    return oracle(record, "where")
+
+
+@settings(max_examples=500)
+@given(mutated_records())
+def test_a_record_with_several_faults_names_the_first_in_field_order(case):
+    kind, record = case
+    try:
+        got = corpus_module._checked_record(READERS[kind][0], record, "where")
+    except CorpusFormatError as exc:
+        got = str(exc)
+    assert got == _first_fault(kind, record)
+    got, want = _read_both_ways(kind, [json.dumps(record)])
+    assert got == want
+
+
+def test_every_record_field_has_one_of_the_four_kinds():
+    kinds = {str, int, int | None, tuple[str, ...]}
+    for cls in (Issue, Commit):
+        hints = typing.get_type_hints(cls)
+        assert [f.name for f in dataclasses.fields(cls)] == list(hints)
+        assert set(hints.values()) <= kinds, cls
+
+
+def test_to_record_writes_what_the_oracle_writers_write():
+    corpus = synthesize_corpus(
+        seed=5, n_issues=40, n_commits=30, signal=SignalParams(true_link_density=0.5)
+    )
+    assert any(issue.resolved_date is None for issue in corpus.issues)
+    assert any(not commit.linked_issue_ids for commit in corpus.commits)
+    pairs = [(issue, _oracle_issue_to_record) for issue in corpus.issues] + [
+        (commit, _oracle_commit_to_record) for commit in corpus.commits
+    ]
+    for item, oracle in pairs:
+        got, want = corpus_module._to_record(item), oracle(item)
+        assert got == want
+        assert list(got) == list(want)
+        assert [type(value) for value in got.values()] == [
+            type(value) for value in want.values()
+        ]
 
 
 def _line_variants(kind: str) -> dict[str, list[str]]:
@@ -610,7 +786,8 @@ def test_line_level_faults_read_as_json_loads_reads_them(kind):
 def _checked_and_fast(kind: str):
     """Pairs of records, each built by the checked builder and the fast one,
     from saved records and from valid variations of them."""
-    fast, checked = READERS[kind]
+    _, fast, _ = READERS[kind]
+    checked = _checked(kind)
     time_keys = sorted(TIME_FIELDS & set(_saved_records()[kind][0]))
     variants = []
     for record in _saved_records()[kind]:

@@ -79,6 +79,28 @@ def test_metrics_length_mismatch():
         metrics([1, 0], [1])
 
 
+# st.floats draws NaN and the infinities too.
+NOT_BINARY = st.one_of(
+    st.floats().filter(lambda x: x not in (0, 1)),
+    st.integers().filter(lambda x: x not in (0, 1)),
+)
+
+
+@settings(max_examples=100)
+@given(st.data(), st.booleans())
+def test_metrics_rejects_labels_outside_zero_and_one(data, in_predicted):
+    size = data.draw(st.integers(1, 20))
+    binary = st.lists(
+        st.sampled_from([0, 1, 0.0, 1.0, True]), min_size=size, max_size=size
+    )
+    predicted, actual = data.draw(binary), data.draw(binary)
+    bad = predicted if in_predicted else actual
+    bad[data.draw(st.integers(0, len(bad) - 1))] = data.draw(NOT_BINARY)
+    name = "predicted" if in_predicted else "actual"
+    with pytest.raises(ValueError, match=f"^{name} labels must be 0 or 1$"):
+        metrics(predicted, actual)
+
+
 def test_kfold_partitions_everything():
     folds = kfold(23, 4, seed=1)
     assert len(folds) == 4
@@ -117,6 +139,17 @@ def test_kfold_validates_arguments():
 def test_stratified_folds_need_labels():
     with pytest.raises(ValueError, match="^stratified folds need labels$"):
         kfold(6, 2, seed=0, stratified=True)
+
+
+@settings(max_examples=100)
+@given(st.data(), st.integers(2, 5))
+def test_stratified_folds_reject_nan_labels(data, k):
+    labels = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=k, max_size=40))
+    for _ in range(data.draw(st.integers(1, 3))):
+        labels[data.draw(st.integers(0, len(labels) - 1))] = np.nan
+    message = "^stratified folds need labels that are not NaN$"
+    with pytest.raises(ValueError, match=message):
+        kfold(len(labels), k, seed=0, labels=labels, stratified=True)
 
 
 def test_kfold_loads_no_further_numpy_module():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybrid_linker._pcg import Generator
 from hybrid_linker.config import Config
@@ -79,6 +81,22 @@ def test_fuse_arrays_matches_scalar_combine():
         assert fused[k] == pytest.approx(fuse_arrays(p_nt[k], p_t[k], 0.3), abs=1e-15)
     with pytest.raises(HybridError):
         fuse_arrays(np.array([1.5]), np.array([0.5]), 0.5)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    st.data(),
+    st.booleans(),
+)
+def test_fuse_arrays_rejects_nan_probabilities(values, data, in_textual):
+    good = np.array(values)
+    bad = good.copy()
+    bad[data.draw(st.integers(0, len(values) - 1))] = np.nan
+    name = "p_textual" if in_textual else "p_nontextual"
+    args = (good, bad) if in_textual else (bad, good)
+    with pytest.raises(HybridError, match=rf"^{name} values must lie in \[0, 1\]$"):
+        fuse_arrays(*args, 0.5)
 
 
 def test_alpha_grid_is_21_points():

@@ -24,11 +24,10 @@ from hybrid_linker.tfidf import (
     _transform_rows,
     featurize_pairs_textual,
     fit,
-    fit_transform,
     fit_vectorizers,
     ngrams,
 )
-from tests.conftest import make_commit, make_issue
+from tests.conftest import fit_transform, make_commit, make_issue
 
 MICRO_DOCS = [
     ("copi", "indic", "valu"),
