@@ -61,6 +61,11 @@ def kfold(
     if stratified and labels is None:
         raise ValueError("stratified folds need labels")
     labels = np.asarray(labels) if stratified else np.zeros(n_items)
+    if labels.shape != (n_items,):
+        raise ValueError(
+            f"stratified folds need one label per item, got {labels.size} "
+            f"labels for {n_items} items"
+        )
     # NaN equals no label value, so its items would reach no test fold.
     if labels.dtype.kind in "fc" and np.isnan(labels).any():
         raise ValueError("stratified folds need labels that are not NaN")

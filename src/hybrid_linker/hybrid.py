@@ -63,11 +63,17 @@ class HybridError(HybridLinkerError):
 def fuse_arrays(
     p_nontextual: np.ndarray, p_textual: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Fuse the two channel probabilities linearly, elementwise."""
+    """Fuse the two channel probabilities linearly, elementwise; both must
+    have one shape, as NumPy would otherwise broadcast one over the other."""
     if not 0.0 <= alpha <= 1.0:
         raise HybridError(f"alpha must lie in [0, 1], got {alpha!r}")
     p_nontextual = np.asarray(p_nontextual)
     p_textual = np.asarray(p_textual)
+    if p_nontextual.shape != p_textual.shape:
+        raise HybridError(
+            "p_nontextual and p_textual must have the same shape, "
+            f"got {p_nontextual.shape} and {p_textual.shape}"
+        )
     for name, values in (("p_nontextual", p_nontextual), ("p_textual", p_textual)):
         # Written so that NaN, which fails every comparison, is out of range.
         if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):

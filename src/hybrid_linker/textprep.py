@@ -4,6 +4,10 @@ Natural text goes through lowercase, alphanumeric splitting, short-token
 and stopword removal, then Porter stemming. Diff text is split on
 whitespace and filtered down to tokens that look like identifiers; those
 are kept verbatim, duplicates and case included.
+
+preprocess_natural and extract_code_terms define the tokens. NaturalWords
+and CodeTerms give the same tokens for a batch of texts, working out each
+distinct word once; the document builders use them.
 """
 
 from __future__ import annotations
@@ -12,12 +16,19 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 
 from . import HybridLinkerError, porter
 from .corpus import Commit, Issue, _locate_decode_error
 
 _SPLIT_PATTERN = re.compile(r"[^a-z0-9]+")
+# Maps every byte but a-z and 0-9 to a space. Lowercased text encoded to
+# ASCII, each other code point as "?", and translated with it splits on
+# whitespace into the runs _SPLIT_PATTERN leaves.
+_WORD_BYTES = bytes(
+    c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256)
+)
 
 # An identifier-looking token must fully match at least one of these.
 CODE_TERM_PATTERNS: dict[str, re.Pattern] = {
@@ -98,19 +109,80 @@ def extract_code_terms(diff_text: str) -> TokenStream:
     return TokenStream(tokens=kept, kind="code_term")
 
 
+class NaturalWords(dict):
+    """preprocess_natural for a batch of texts, each distinct word worked once.
+
+    Maps a lowercase run of [a-z0-9] to its stemmed token, or to "" when
+    preprocess_natural drops it (a stopword, or shorter than two characters
+    before or after stemming). A word seen before costs one C-level dict
+    hit. It holds every word of its batch, so build one per batch.
+    """
+
+    __slots__ = ("stopwords",)
+
+    def __init__(self, stopwords: frozenset[str] | None = None) -> None:
+        super().__init__()
+        self.stopwords = _default_stopwords() if stopwords is None else stopwords
+
+    def __missing__(self, word: str) -> str:
+        token = ""
+        if len(word) >= 2 and word not in self.stopwords:
+            stemmed = porter.stem(word)
+            if len(stemmed) >= 2:
+                token = stemmed
+        self[word] = token
+        return token
+
+    def doc(self, text: str) -> TokenStream:
+        words = text.lower().encode("ascii", "replace").translate(_WORD_BYTES)
+        tokens = filter(None, map(self.__getitem__, words.decode().split()))
+        return TokenStream(tokens=tuple(tokens), kind="natural")
+
+
+class CodeTerms(dict):
+    """extract_code_terms for a batch of diffs, each distinct token matched once.
+
+    Maps a whitespace-free token to whether it is a code term. It holds
+    every token of its batch, so build one per batch.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> bool:
+        kept = self[token] = _CODE_TERM.fullmatch(token) is not None
+        return kept
+
+    def doc(self, diff_text: str) -> TokenStream:
+        tokens = diff_text.split()
+        kept = compress(tokens, map(self.__getitem__, tokens))
+        return TokenStream(tokens=tuple(kept), kind="code_term")
+
+
 def issue_text(issue: Issue) -> str:
     """Join summary and description with a single space, skipping empties."""
     parts = [part for part in (issue.summary, issue.description) if part]
     return " ".join(parts)
 
 
-def issue_doc(issue: Issue, stopwords: frozenset[str] | None = None) -> TokenStream:
-    return preprocess_natural(issue_text(issue), stopwords)
+# The document builders. A batch passes its own memo, which then stands in
+# for stopwords; without one, each call works alone.
 
 
-def message_doc(commit: Commit, stopwords: frozenset[str] | None = None) -> TokenStream:
-    return preprocess_natural(commit.message, stopwords)
+def issue_doc(
+    issue: Issue,
+    stopwords: frozenset[str] | None = None,
+    words: NaturalWords | None = None,
+) -> TokenStream:
+    return (NaturalWords(stopwords) if words is None else words).doc(issue_text(issue))
 
 
-def code_doc(commit: Commit) -> TokenStream:
-    return extract_code_terms(commit.diff_text)
+def message_doc(
+    commit: Commit,
+    stopwords: frozenset[str] | None = None,
+    words: NaturalWords | None = None,
+) -> TokenStream:
+    return (NaturalWords(stopwords) if words is None else words).doc(commit.message)
+
+
+def code_doc(commit: Commit, terms: CodeTerms | None = None) -> TokenStream:
+    return (CodeTerms() if terms is None else terms).doc(commit.diff_text)

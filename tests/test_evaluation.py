@@ -152,6 +152,24 @@ def test_stratified_folds_reject_nan_labels(data, k):
         kfold(len(labels), k, seed=0, labels=labels, stratified=True)
 
 
+@settings(max_examples=100)
+@given(st.integers(2, 4), st.integers(4, 30), st.integers(0, 40), st.data())
+def test_stratified_folds_need_one_label_per_item(k, n_items, n_labels, data):
+    labels = data.draw(
+        st.lists(st.sampled_from([0, 1]), min_size=n_labels, max_size=n_labels)
+    )
+    if n_labels == n_items:
+        tested = np.concatenate([test for _, test in kfold(n_items, k, 0, labels, True)])
+        assert np.array_equal(np.sort(tested), np.arange(n_items))
+        return
+    message = (
+        f"^stratified folds need one label per item, got {n_labels} labels "
+        f"for {n_items} items$"
+    )
+    with pytest.raises(ValueError, match=message):
+        kfold(n_items, k, 0, labels=labels, stratified=True)
+
+
 def test_kfold_loads_no_further_numpy_module():
     # np.unique imports numpy.ma on first use, about 1 MiB of resident memory.
     script = (

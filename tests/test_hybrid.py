@@ -99,6 +99,23 @@ def test_fuse_arrays_rejects_nan_probabilities(values, data, in_textual):
         fuse_arrays(*args, 0.5)
 
 
+@settings(max_examples=100)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_fuse_arrays_rejects_channels_of_different_lengths(n_nt, n_t, data):
+    probabilities = st.floats(0.0, 1.0)
+    p_nt = np.array(data.draw(st.lists(probabilities, min_size=n_nt, max_size=n_nt)))
+    p_t = np.array(data.draw(st.lists(probabilities, min_size=n_t, max_size=n_t)))
+    if n_nt == n_t:
+        assert fuse_arrays(p_nt, p_t, 0.5).shape == (n_t,)
+        return
+    message = (
+        r"^p_nontextual and p_textual must have the same shape, "
+        rf"got \({n_nt},\) and \({n_t},\)$"
+    )
+    with pytest.raises(HybridError, match=message):
+        fuse_arrays(p_nt, p_t, 0.5)
+
+
 def test_alpha_grid_is_21_points():
     grid = alpha_grid()
     assert len(grid) == 21

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_linker.corpus import synthesize_corpus
 from hybrid_linker.porter import stem
 from hybrid_linker.textprep import (
     CODE_TERM_PATTERNS,
+    CodeTerms,
+    NaturalWords,
+    code_doc,
     extract_code_terms,
     issue_doc,
     issue_text,
@@ -189,8 +192,6 @@ def test_doc_builders_and_kinds():
     assert idoc.kind == "natural"
     assert idoc.tokens == ("copi", "indic", "valu")
     assert mdoc.tokens == ("fix", "copi")
-    from hybrid_linker.textprep import code_doc
-
     cdoc = code_doc(commit)
     assert cdoc.kind == "code_term"
     assert cdoc.tokens == ("OPT_INFO",)
@@ -209,8 +210,11 @@ def test_load_stopwords_custom_file(tmp_path):
     assert load_stopwords(path) == frozenset({"foo", "bar"})
 
 
+CODE_TOKENS = st.text(alphabet="abzABZ019_.:-", min_size=1, max_size=8)
+
+
 @settings(max_examples=1000)
-@given(st.lists(st.text(alphabet="abzABZ019_.:-", min_size=1, max_size=8), max_size=6))
+@given(st.lists(CODE_TOKENS, max_size=6))
 def test_code_terms_are_tokens_matching_any_one_pattern(tokens):
     want = tuple(
         token
@@ -218,3 +222,50 @@ def test_code_terms_are_tokens_matching_any_one_pattern(tokens):
         if any(p.fullmatch(token) for p in CODE_TERM_PATTERNS.values())
     )
     assert extract_code_terms(" ".join(tokens)).tokens == want
+
+
+# Any code point, lone surrogates included, mixed with ASCII words, so that
+# stems, stopwords and short tokens all occur between the separators.
+ANY_TEXT = st.lists(
+    st.one_of(
+        st.characters(codec=None, exclude_categories=()),
+        st.sampled_from(["the", "Copying", "indicators", "x509", "a", "IES", " ", "_"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1000)
+@given(
+    st.lists(ANY_TEXT, max_size=4),
+    st.sampled_from([None, frozenset(), frozenset({"copi", "indicators"})]),
+)
+@example(["\u212aelvin \u0130stanbul \u0663\u0664 \ud800ab\udfff cd"], None)
+@example(["KELVIN \u212a\u212a \u0130\u0130 \uff11\uff12 \u0966\u0967 \U0001d7d8"], frozenset())
+@example(["\ud83dx"], frozenset())
+def test_natural_words_tokenize_as_preprocess_natural(texts, stopwords):
+    # One memo over several texts gives each text the tokens a lone call does.
+    words = NaturalWords(stopwords)
+    for text in texts:
+        assert words.doc(text) == preprocess_natural(text, stopwords)
+
+
+@settings(max_examples=500)
+@given(st.lists(ANY_TEXT | st.lists(CODE_TOKENS, max_size=8).map(" ".join), max_size=4))
+def test_code_terms_match_extract_code_terms(diffs):
+    terms = CodeTerms()
+    for diff in diffs:
+        assert terms.doc(diff) == extract_code_terms(diff)
+
+
+def test_doc_builders_with_a_shared_memo_match_lone_calls():
+    corpus = synthesize_corpus(seed=5, n_issues=15, n_commits=15)
+    stopwords = load_stopwords()
+    words, terms = NaturalWords(stopwords), CodeTerms()
+    for issue, commit in zip(corpus.issues, corpus.commits):
+        assert issue_doc(issue, words=words) == issue_doc(issue, stopwords)
+        assert message_doc(commit, words=words) == message_doc(commit, stopwords)
+        assert code_doc(commit, terms) == code_doc(commit)
+        assert issue_doc(issue, stopwords).tokens == preprocess_natural(
+            issue_text(issue), stopwords
+        ).tokens

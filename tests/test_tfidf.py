@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -15,13 +16,18 @@ from hybrid_linker.textprep import (
     TokenStream,
     code_doc,
     issue_doc,
+    issue_text,
     load_stopwords,
     message_doc,
 )
 from hybrid_linker.tfidf import (
+    DEFAULT_MAX_FEATURES,
     TextualVectorizers,
     TfidfModel,
+    _enumerated_keys,
+    _prefix_gaps,
     _transform_rows,
+    _walked_keys,
     featurize_pairs_textual,
     fit,
     fit_vectorizers,
@@ -416,3 +422,99 @@ def test_featurize_of_no_pairs_is_an_empty_matrix():
     got = featurize_pairs_textual([], vectorizers)
     _assert_same_csr(got, _oracle_featurize_pairs_textual([], vectorizers))
     assert got.shape == (0, vectorizers.width)
+
+
+# Hand-built vocabularies a bundle could hold: terms whose prefixes are not
+# terms, terms longer than the n-gram range, terms with doubled or edge
+# spaces, and ranges that do not start at 1.
+VOCAB_WORDS = ["ab", "cd", "ef", "gh"]
+
+
+@st.composite
+def hand_built_models(draw):
+    ngram_range = draw(st.sampled_from([(1, 1), (1, 3), (2, 3), (1, 4)]))
+    gram = st.lists(st.sampled_from(VOCAB_WORDS), min_size=1, max_size=5)
+    joined = st.tuples(gram, st.sampled_from([" ", " ", " ", "  "])).map(
+        lambda drawn: drawn[1].join(drawn[0])
+    )
+    edge = st.sampled_from(["", " "])
+    edged = st.tuples(edge, st.sampled_from(VOCAB_WORDS), edge).map("".join)
+    terms = draw(st.lists(joined | edged, unique=True, max_size=30))
+    order = draw(st.permutations(range(len(terms))))
+    idf = draw(
+        st.lists(st.floats(0.0, 4.0), min_size=len(terms), max_size=len(terms))
+    )
+    return TfidfModel(
+        term_index={term: i for term, i in zip(terms, order)},
+        idf=np.array(idf, dtype=np.float64),
+        ngram_range=ngram_range,
+        max_features=DEFAULT_MAX_FEATURES,
+    )
+
+
+# "zz" is never in a term; "ab cd" is one token holding a space, so a gram
+# of it can equal a term of more words than the gram has tokens.
+TOKEN_DOCS = st.lists(
+    st.lists(st.sampled_from(VOCAB_WORDS + ["zz", "ab cd"]), max_size=12).map(_stream),
+    max_size=8,
+)
+
+
+@settings(max_examples=400)
+@given(hand_built_models(), TOKEN_DOCS)
+def test_transform_matches_oracle_for_hand_built_vocabularies(model, docs):
+    # Fewer tokens than terms looks up every n-gram; more takes the walk.
+    got = _transform_rows([(model, docs)])
+    for row, doc in enumerate(docs):
+        _assert_same_csr(got[row : row + 1], _oracle_transform(model, doc))
+    assert got.shape == (len(docs), model.width)
+
+
+@settings(max_examples=400)
+@given(hand_built_models(), TOKEN_DOCS, st.integers(0, 3), st.integers(1, 50))
+def test_walk_finds_the_keys_enumeration_finds(model, docs, first, width):
+    width = max(width, model.width)
+    lengths = [len(doc.tokens) for doc in docs]
+    walked = _walked_keys(model, docs, lengths, first, width)
+    walked = np.sort(np.concatenate([np.empty(0, np.int64), *walked]))
+    enumerated = np.sort(np.array(_enumerated_keys(model, docs, first, width), np.int64))
+    assert np.array_equal(walked, enumerated)
+
+
+def test_prefix_gaps_are_the_proper_prefixes_that_are_not_terms():
+    term_index = {"ab cd ef": 0, "ab": 1, "gh  ab": 2, " cd": 3, "ef gh": 4, "ef": 5}
+    assert _prefix_gaps(term_index) == {"ab cd", "gh ", "gh", ""}
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(st.sampled_from(VOCAB_WORDS), max_size=10), max_size=6),
+    st.integers(1, 4),
+    st.integers(1, 40),
+)
+def test_fit_vocabularies_have_no_prefix_gaps(token_lists, high, max_features):
+    model = fit([_stream(t) for t in token_lists], (1, high), max_features)
+    assert _prefix_gaps(model.term_index) == set()
+
+
+def test_back_to_back_calls_share_no_memo():
+    # A word a first call dropped as a stopword must count in a second call
+    # without that stopword, and the other way round. Vectorizers fit on a few
+    # candidates leave the batch more tokens than terms, so it is walked.
+    corpus = synthesize_corpus(seed=23, n_issues=60, n_commits=60)
+    candidates = generate_candidates(corpus, window_days=7)
+    pairs = corpus.pairs(candidates)
+    vectorizers = fit_vectorizers(candidates[:8], corpus, stopwords=NO_STOPWORDS)
+    frequent = Counter(
+        word
+        for issue, _ in pairs
+        for word in re.findall("[a-z0-9]{2,}", issue_text(issue).lower())
+    )
+    dropped = frozenset(word for word, _ in frequent.most_common(5))
+    nnz = {}
+    for stopwords in (NO_STOPWORDS, dropped, NO_STOPWORDS, dropped):
+        got = featurize_pairs_textual(pairs, vectorizers, stopwords)
+        want = _oracle_featurize_pairs_textual(pairs, vectorizers, stopwords)
+        _assert_same_csr(got, want)
+        assert nnz.setdefault(stopwords, got.nnz) == got.nnz
+    assert nnz[dropped] < nnz[NO_STOPWORDS]
