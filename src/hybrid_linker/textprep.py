@@ -135,7 +135,10 @@ class NaturalWords(dict):
 
     def doc(self, text: str) -> TokenStream:
         words = text.lower().encode("ascii", "replace").translate(_WORD_BYTES)
-        tokens = filter(None, map(self.__getitem__, words.decode().split()))
+        # A tuple made from a list is allocated at its size. One made from an
+        # iterator grows by reallocation and may keep a block a third larger,
+        # which raised the resident memory of a process featurizing often.
+        tokens = list(filter(None, map(self.__getitem__, words.decode().split())))
         return TokenStream(tokens=tuple(tokens), kind="natural")
 
 
@@ -154,7 +157,8 @@ class CodeTerms(dict):
 
     def doc(self, diff_text: str) -> TokenStream:
         tokens = diff_text.split()
-        kept = compress(tokens, map(self.__getitem__, tokens))
+        # A list first, as in NaturalWords.doc.
+        kept = list(compress(tokens, map(self.__getitem__, tokens)))
         return TokenStream(tokens=tuple(kept), kind="code_term")
 
 
@@ -164,24 +168,17 @@ def issue_text(issue: Issue) -> str:
     return " ".join(parts)
 
 
-# The document builders. A batch passes its own memo, which then stands in
-# for stopwords; without one, each call works alone.
+# The document builders. A batch passes its own memo, built once for the
+# batch (NaturalWords with the stopwords it uses); without one, each call
+# works alone with the default stopwords.
 
 
-def issue_doc(
-    issue: Issue,
-    stopwords: frozenset[str] | None = None,
-    words: NaturalWords | None = None,
-) -> TokenStream:
-    return (NaturalWords(stopwords) if words is None else words).doc(issue_text(issue))
+def issue_doc(issue: Issue, words: NaturalWords | None = None) -> TokenStream:
+    return (NaturalWords() if words is None else words).doc(issue_text(issue))
 
 
-def message_doc(
-    commit: Commit,
-    stopwords: frozenset[str] | None = None,
-    words: NaturalWords | None = None,
-) -> TokenStream:
-    return (NaturalWords(stopwords) if words is None else words).doc(commit.message)
+def message_doc(commit: Commit, words: NaturalWords | None = None) -> TokenStream:
+    return (NaturalWords() if words is None else words).doc(commit.message)
 
 
 def code_doc(commit: Commit, terms: CodeTerms | None = None) -> TokenStream:

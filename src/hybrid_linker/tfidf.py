@@ -16,7 +16,9 @@ drops nothing ngrams would count: the counts equal those of looking up all
 n-grams, for any vocabulary and any tokens, not only those fit builds. A
 vocabulary fit keeps with a range starting at 1 has no prefix gaps, since a
 term's prefix occurs at least as often as the term and sorts before it.
-Smaller blocks look up all n-grams, which costs less than finding the gaps.
+Smaller blocks look up all n-grams: the walk has a fixed cost, mostly the
+pass over every term that finds the gaps, which a small block does not earn
+back (see _transform_rows).
 """
 
 from __future__ import annotations
@@ -200,9 +202,18 @@ def _transform_rows(blocks: list[tuple[TfidfModel, list[TokenStream]]]) -> Csr:
 
     Each block is a model and its documents. Rows run over the documents of
     each block in turn, and the blocks' columns lie side by side in the same
-    order. A key row * width + column marks each n-gram that is a term. A
-    block with fewer tokens than terms has all its n-grams looked up, which
-    costs less than the walk's prefix gaps; a larger one is walked.
+    order. A key row * width + column marks each n-gram that is a term.
+
+    A block holding more tokens than its model has terms is walked; a
+    smaller one has all its n-grams looked up. Timed per block
+    (BENCH_featurize.json, "fork"), looking up costs about 0.84 us per token
+    and the walk 0.29 us per token plus 48 us and 0.14 us per term, so they
+    break even at 0.4 tokens per term for a 550-term model and at 1.1 for a
+    100-term one. On every block the benchmark's calls make, this cut picks
+    what that fitted break-even picks; walking every block would cost 17
+    times as much on a lone pair's blocks and 1.2 to 1.35 times as much on
+    those of training and evaluation.
+
     Counting, weighting and normalizing then run over all rows at once. A
     row's norm is a 1-D sum of its squares, summed in the order a lone
     document's would be: np.add.reduceat sums in another order and moves bits.
@@ -282,11 +293,11 @@ def _documents(pairs, stopwords: frozenset[str] | None):
         issue_row = issue_rows.get(issue.issue_id)
         if issue_row is None:
             issue_row = issue_rows[issue.issue_id] = len(issue_docs)
-            issue_docs.append(issue_doc(issue, words=words))
+            issue_docs.append(issue_doc(issue, words))
         commit_row = commit_rows.get(commit.commit_hash)
         if commit_row is None:
             commit_row = commit_rows[commit.commit_hash] = len(message_docs)
-            message_docs.append(message_doc(commit, words=words))
+            message_docs.append(message_doc(commit, words))
             code_docs.append(code_doc(commit, terms))
         segments += (issue_row, commit_row, commit_row)
     return (issue_docs, message_docs, code_docs), segments
@@ -330,7 +341,8 @@ def featurize_pairs_textual(
     )
     # Take each pair's three row segments, in order, from the rows of all
     # blocks laid end to end; every third row boundary then ends a pair. A
-    # lone pair's three rows already lie in that order.
+    # lone pair's three rows already lie in that order, and skipping the
+    # gather saves about a quarter of a one-pair call (BENCH_featurize.json).
     n_pairs = len(segments) // 3
     if n_pairs != 1:
         n_issues, n_commits = len(issue_docs), len(message_docs)

@@ -263,9 +263,10 @@ def test_doc_builders_with_a_shared_memo_match_lone_calls():
     stopwords = load_stopwords()
     words, terms = NaturalWords(stopwords), CodeTerms()
     for issue, commit in zip(corpus.issues, corpus.commits):
-        assert issue_doc(issue, words=words) == issue_doc(issue, stopwords)
-        assert message_doc(commit, words=words) == message_doc(commit, stopwords)
+        assert issue_doc(issue, words) == issue_doc(issue, NaturalWords(stopwords))
+        assert message_doc(commit, words) == message_doc(commit, NaturalWords(stopwords))
         assert code_doc(commit, terms) == code_doc(commit)
-        assert issue_doc(issue, stopwords).tokens == preprocess_natural(
+        assert issue_doc(issue, words).tokens == preprocess_natural(
             issue_text(issue), stopwords
         ).tokens
+        assert issue_doc(issue) == preprocess_natural(issue_text(issue))

@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 from hybrid_linker.linkgen import LinkCandidate, generate_candidates
 from hybrid_linker.corpus import synthesize_corpus
 from hybrid_linker.textprep import (
+    NaturalWords,
     TokenStream,
     code_doc,
+    extract_code_terms,
     issue_doc,
     issue_text,
     load_stopwords,
     message_doc,
+    preprocess_natural,
 )
 from hybrid_linker.tfidf import (
     DEFAULT_MAX_FEATURES,
@@ -186,10 +189,10 @@ def test_featurize_blocks_concatenate_per_document_transforms():
         commit = corpus.commit(cand.commit_hash)
         row = matrix[row_index].toarray()[0]
         want_issue = _transform_rows(
-            [(vectorizers.issue, [issue_doc(issue, stopwords)])]
+            [(vectorizers.issue, [issue_doc(issue, NaturalWords(stopwords))])]
         ).toarray()[0]
         want_msg = _transform_rows(
-            [(vectorizers.message, [message_doc(commit, stopwords)])]
+            [(vectorizers.message, [message_doc(commit, NaturalWords(stopwords))])]
         ).toarray()[0]
         want_code = _transform_rows(
             [(vectorizers.code, [code_doc(commit)])]
@@ -212,11 +215,11 @@ def test_vectorizers_fit_only_on_candidate_documents():
     outside_terms = set()
     for issue in corpus.issues:
         if issue.issue_id not in seen_issues:
-            outside_terms.update(issue_doc(issue, stopwords).tokens)
+            outside_terms.update(issue_doc(issue, NaturalWords(stopwords)).tokens)
     inside_terms = set()
     for issue in corpus.issues:
         if issue.issue_id in seen_issues:
-            inside_terms.update(issue_doc(issue, stopwords).tokens)
+            inside_terms.update(issue_doc(issue, NaturalWords(stopwords)).tokens)
     only_outside = outside_terms - inside_terms
     assert only_outside, "fixture needs vocabulary unique to excluded issues"
     fitted = set()
@@ -269,14 +272,14 @@ def _oracle_featurize_pairs_textual(
     for issue, commit in pairs:
         count += 1
         if issue.issue_id not in issue_cache:
-            doc = issue_doc(issue, stopwords)
+            doc = preprocess_natural(issue_text(issue), stopwords)
             issue_cache[issue.issue_id] = _oracle_transform_arrays(vectorizers.issue, doc)
         if commit.commit_hash not in commit_cache:
             msg_idx, msg_val = _oracle_transform_arrays(
-                vectorizers.message, message_doc(commit, stopwords)
+                vectorizers.message, preprocess_natural(commit.message, stopwords)
             )
             code_idx, code_val = _oracle_transform_arrays(
-                vectorizers.code, code_doc(commit)
+                vectorizers.code, extract_code_terms(commit.diff_text)
             )
             commit_cache[commit.commit_hash] = (
                 np.concatenate([msg_idx + message_offset, code_idx + code_offset]),
@@ -351,12 +354,12 @@ def pair_batches(draw):
     max_features = draw(st.sampled_from([3, 50]))
     vectorizers = TextualVectorizers(
         issue=_zero_some(
-            fit([issue_doc(it, NO_STOPWORDS) for it in fitted_issues],
+            fit([issue_doc(it, NaturalWords(NO_STOPWORDS)) for it in fitted_issues],
                 max_features=max_features),
             draw,
         ),
         message=_zero_some(
-            fit([message_doc(c, NO_STOPWORDS) for c in fitted_commits],
+            fit([message_doc(c, NaturalWords(NO_STOPWORDS)) for c in fitted_commits],
                 max_features=max_features),
             draw,
         ),
@@ -391,7 +394,7 @@ def test_featurize_matches_per_document_oracle(batch):
 def test_transform_and_fit_transform_match_oracle(batch):
     pairs, vectorizers = batch
     model = vectorizers.issue
-    docs = [issue_doc(issue, NO_STOPWORDS) for issue, _ in pairs]
+    docs = [issue_doc(issue, NaturalWords(NO_STOPWORDS)) for issue, _ in pairs]
     for doc in docs:
         _assert_same_csr(
             _transform_rows([(model, [doc])]), _oracle_transform(model, doc)
