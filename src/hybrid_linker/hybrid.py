@@ -216,6 +216,7 @@ def train_hybrid(
 ) -> HybridModel:
     """Fit both channels on 80% of the candidates and tune alpha on the rest.
 
+    Each slice's (issue, commit) records are looked up in the corpus once.
     Channel models are fitted once on the fit slice and kept; nothing is
     refitted after tuning. Every learner is seeded with config.seed.
     """
@@ -232,19 +233,17 @@ def train_hybrid(
     fit_part = [candidates[i] for i in order[:n_fit]]
     val_part = [candidates[i] for i in order[n_fit:]]
 
+    fit_pairs = corpus.pairs(fit_part)
     vectorizers = fit_vectorizers(
-        fit_part, corpus, stopwords, max_features=config.max_features
+        fit_pairs, stopwords, max_features=config.max_features
     )
     encoder = fit_encoder(
-        fit_part,
-        corpus,
+        fit_pairs,
         category_map_path=config.category_map_path,
         identity_top_k=config.identity_top_k,
         gap_features=config.gap_features,
         missing_threshold=config.missing_threshold,
     )
-
-    fit_pairs = corpus.pairs(fit_part)
     X_t = featurize_pairs_textual(fit_pairs, vectorizers, stopwords)
     X_nt = featurize_pairs_tabular(fit_pairs, encoder)
     y_fit = np.array([c.label for c in fit_part], dtype=np.float64)
@@ -446,6 +445,11 @@ class _BundleReader:
     def vectorizer(self, name: str, meta: dict) -> TfidfModel:
         terms = _json.get(meta, "terms", list[str], name)
         term_index = {term: i for i, term in enumerate(terms)}
+        if len(term_index) != len(terms):
+            # term_index keeps a repeated term's last position.
+            at = next(i for i, term in enumerate(terms) if term_index[term] != i)
+            last = term_index[terms[at]]
+            raise DecodeError(f"{name}.terms", f"{terms[at]!r} at both {at} and {last}")
         values = _json.record(meta, TfidfModel, _VECTORIZER_META, name)
         low, high = values["ngram_range"]
         if not 1 <= low <= high:

@@ -157,12 +157,13 @@ def write_candidates(path: str | Path, candidates: list[LinkCandidate]) -> None:
 def tsv_lines(path: str | Path, error: type[Exception]):
     """Yield (line number, line) for each line of a UTF-8 text file.
 
-    Lines end at a line feed only, and one carriage return just before it is
-    dropped. A stray carriage return stays inside its line, so line numbers
-    count the same line feeds as the invalid-UTF-8 report, raised as error.
+    A byte order mark at the start of the file is skipped. Lines end at a
+    line feed only, and one carriage return just before it is dropped. A
+    stray carriage return stays inside its line, so line numbers count the
+    same line feeds as the invalid-UTF-8 report, raised as error.
     """
     try:
-        with open(path, encoding="utf-8", newline="\n") as handle:
+        with open(path, encoding="utf-8-sig", newline="\n") as handle:
             for lineno, line in enumerate(handle, start=1):
                 yield lineno, line.removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import HybridLinkerError
-from .corpus import SECONDS_PER_DAY, Corpus, Issue
-from .linkgen import LinkCandidate, tsv_lines
+from .corpus import SECONDS_PER_DAY, Issue
+from .linkgen import tsv_lines
 
 STATUS_CLASSES = ("open", "closed", "resolved")
 TYPE_CLASSES = ("task", "new_feature", "bug")
@@ -165,23 +165,21 @@ class TabularEncoder:
 
 
 def fit_encoder(
-    candidates: list[LinkCandidate],
-    corpus: Corpus,
+    pairs,
     *,
     category_map_path: str | Path | None = None,
     identity_top_k: int = DEFAULT_IDENTITY_TOP_K,
     gap_features: bool = True,
     missing_threshold: float = DEFAULT_MISSING_THRESHOLD,
 ) -> TabularEncoder:
-    """Learn the tabular layout from training candidates.
+    """Learn the tabular layout from training (issue, commit) pairs.
 
     The resolved date column (and its gaps) is dropped when more than
     missing_threshold of the fit rows lack it; the reporter column is
     dropped when it nearly always equals creator across the fit issues.
-    Only records referenced by the given candidates are consulted.
     """
-    if not candidates:
-        raise ValueError("cannot fit an encoder on zero candidates")
+    if not pairs:
+        raise ValueError("cannot fit an encoder on zero pairs")
     status_map, type_map = load_category_maps(category_map_path)
 
     missing = 0
@@ -192,9 +190,7 @@ def fit_encoder(
     committer_counts: Counter = Counter()
     unmapped_status: Counter = Counter()
     unmapped_type: Counter = Counter()
-    for cand in candidates:
-        issue = corpus.issue(cand.issue_id)
-        commit = corpus.commit(cand.commit_hash)
+    for issue, commit in pairs:
         fit_issues.setdefault(issue.issue_id, issue)
         if issue.resolved_date is None:
             missing += 1
@@ -209,7 +205,7 @@ def fit_encoder(
 
     redundancy = _identity_redundancy(fit_issues.values())
     include_reporter = redundancy["reporter_creator_equality"] < REDUNDANCY_CUTOFF
-    include_resolved = (missing / len(candidates)) <= missing_threshold
+    include_resolved = (missing / len(pairs)) <= missing_threshold
     identity_vocabs = {
         "creator": _top_identities(creator_counts, identity_top_k),
         "author": _top_identities(author_counts, identity_top_k),

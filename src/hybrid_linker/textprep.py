@@ -5,9 +5,9 @@ and stopword removal, then Porter stemming. Diff text is split on
 whitespace and filtered down to tokens that look like identifiers; those
 are kept verbatim, duplicates and case included.
 
-preprocess_natural and extract_code_terms define the tokens. NaturalWords
-and CodeTerms give the same tokens for a batch of texts, working out each
-distinct word once; the document builders use them.
+NaturalWords and CodeTerms define the tokens. Each is the memo of one batch
+of texts and works out each distinct word of the batch once; the document
+builders take the batch's memo.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from pathlib import Path
 from . import HybridLinkerError, porter
 from .corpus import Commit, Issue, _locate_decode_error
 
-_SPLIT_PATTERN = re.compile(r"[^a-z0-9]+")
 # Maps every byte but a-z and 0-9 to a space. Lowercased text encoded to
 # ASCII, each other code point as "?", and translated with it splits on
-# whitespace into the runs _SPLIT_PATTERN leaves.
+# whitespace into the maximal runs of [a-z0-9] in the lowercased text.
 _WORD_BYTES = bytes(
     c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256)
 )
@@ -48,22 +47,20 @@ _CODE_TERM = re.compile(
 
 @dataclass(frozen=True)
 class TokenStream:
-    """An ordered token sequence tagged with how it was produced."""
+    """An ordered token sequence: one document."""
 
     tokens: tuple[str, ...]
-    kind: str  # "natural" or "code_term"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("natural", "code_term"):
-            raise ValueError(f"unknown token stream kind {self.kind!r}")
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a stopword list; None loads the list shipped with the package."""
+    """Load a stopword list; None loads the list shipped with the package.
+
+    A UTF-8 byte order mark at the start of the file is skipped.
+    """
     if path is None:
         return _default_stopwords()
     try:
-        return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
+        return _parse_stopwords(Path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError:
         raise HybridLinkerError(_locate_decode_error(path)) from None
 
@@ -85,37 +82,14 @@ def _default_stopwords() -> frozenset[str]:
     return _parse_stopwords(text)
 
 
-def preprocess_natural(text: str, stopwords: frozenset[str] | None = None) -> TokenStream:
-    """Tokenize prose: lowercase, split, filter, stem.
-
-    Tokens shorter than two characters are dropped both before and after
-    stemming, so every surviving token matches [a-z0-9]{2,}.
-    """
-    if stopwords is None:
-        stopwords = _default_stopwords()
-    tokens = []
-    for raw in _SPLIT_PATTERN.split(text.lower()):
-        if len(raw) < 2 or raw in stopwords:
-            continue
-        stemmed = porter.stem(raw)
-        if len(stemmed) >= 2:
-            tokens.append(stemmed)
-    return TokenStream(tokens=tuple(tokens), kind="natural")
-
-
-def extract_code_terms(diff_text: str) -> TokenStream:
-    """Pull identifier-looking tokens out of diff text, verbatim and in order."""
-    kept = tuple(filter(_CODE_TERM.fullmatch, diff_text.split()))
-    return TokenStream(tokens=kept, kind="code_term")
-
-
 class NaturalWords(dict):
-    """preprocess_natural for a batch of texts, each distinct word worked once.
+    """Tokenizes prose: lowercase, split into runs of [a-z0-9], filter, stem.
 
-    Maps a lowercase run of [a-z0-9] to its stemmed token, or to "" when
-    preprocess_natural drops it (a stopword, or shorter than two characters
-    before or after stemming). A word seen before costs one C-level dict
-    hit. It holds every word of its batch, so build one per batch.
+    Maps a lowercase run of [a-z0-9] to its stemmed token, or to "" when it
+    is dropped: a stopword (None means the packaged list), or shorter than
+    two characters before or after stemming. Every token doc returns thus
+    matches [a-z0-9]{2,}. A word seen before costs one C-level dict hit. It
+    holds every word of its batch, so build one per batch.
     """
 
     __slots__ = ("stopwords",)
@@ -139,13 +113,14 @@ class NaturalWords(dict):
         # iterator grows by reallocation and may keep a block a third larger,
         # which raised the resident memory of a process featurizing often.
         tokens = list(filter(None, map(self.__getitem__, words.decode().split())))
-        return TokenStream(tokens=tuple(tokens), kind="natural")
+        return TokenStream(tuple(tokens))
 
 
 class CodeTerms(dict):
-    """extract_code_terms for a batch of diffs, each distinct token matched once.
+    """Pulls the identifier-looking tokens out of diff text, verbatim and in order.
 
-    Maps a whitespace-free token to whether it is a code term. It holds
+    A token is a whitespace-free run that fully matches one of
+    CODE_TERM_PATTERNS. Maps a token to whether it is a code term. It holds
     every token of its batch, so build one per batch.
     """
 
@@ -159,7 +134,7 @@ class CodeTerms(dict):
         tokens = diff_text.split()
         # A list first, as in NaturalWords.doc.
         kept = list(compress(tokens, map(self.__getitem__, tokens)))
-        return TokenStream(tokens=tuple(kept), kind="code_term")
+        return TokenStream(tuple(kept))
 
 
 def issue_text(issue: Issue) -> str:
@@ -169,17 +144,16 @@ def issue_text(issue: Issue) -> str:
 
 
 # The document builders. A batch passes its own memo, built once for the
-# batch (NaturalWords with the stopwords it uses); without one, each call
-# works alone with the default stopwords.
+# batch (NaturalWords with the stopwords it uses).
 
 
-def issue_doc(issue: Issue, words: NaturalWords | None = None) -> TokenStream:
-    return (NaturalWords() if words is None else words).doc(issue_text(issue))
+def issue_doc(issue: Issue, words: NaturalWords) -> TokenStream:
+    return words.doc(issue_text(issue))
 
 
-def message_doc(commit: Commit, words: NaturalWords | None = None) -> TokenStream:
-    return (NaturalWords() if words is None else words).doc(commit.message)
+def message_doc(commit: Commit, words: NaturalWords) -> TokenStream:
+    return words.doc(commit.message)
 
 
-def code_doc(commit: Commit, terms: CodeTerms | None = None) -> TokenStream:
-    return (CodeTerms() if terms is None else terms).doc(commit.diff_text)
+def code_doc(commit: Commit, terms: CodeTerms) -> TokenStream:
+    return terms.doc(commit.diff_text)

@@ -1,9 +1,11 @@
 """From-scratch TF-IDF over token n-grams, plus the textual feature layout.
 
 Term weight is raw count times smoothed idf, idf(t) = ln((1+N)/(1+df(t))) + 1,
-and each document vector is L2-normalized. A candidate's textual features
-are three independently fitted blocks laid side by side: issue text, commit
-message, and diff code terms.
+and each document vector is L2-normalized. A pair's textual features are
+three independently fitted blocks laid side by side: issue text, commit
+message, and diff code terms. fit_vectorizers and featurize_pairs_textual
+both take (issue, commit) pairs and tokenize each distinct issue and commit
+once per call; ngrams is the one enumeration of a document's n-grams.
 
 The transform counts each n-gram, its tokens joined by single spaces, whose
 length lies in the model's range and which is a key of term_index. A block
@@ -30,8 +32,6 @@ from itertools import chain, repeat
 import numpy as np
 
 from ._csr import Csr
-from .corpus import Corpus
-from .linkgen import LinkCandidate
 from .textprep import (
     CodeTerms,
     NaturalWords,
@@ -139,15 +139,12 @@ def _enumerated_keys(
 
     A key is first + i * width + column for the i-th document.
     """
-    low, high = model.ngram_range
+    ngram_range = model.ngram_range
     get = model.term_index.get
     keys: list[int] = []
     for row, doc in enumerate(documents):
-        tokens = doc.tokens
-        grams = list(tokens) if low == 1 else []
-        for n in range(max(low, 2), min(high, len(tokens)) + 1):
-            grams += map(" ".join, zip(*[tokens[k:] for k in range(n)]))
         base = first + row * width
+        grams = ngrams(doc.tokens, ngram_range)
         keys += [base + i for i in map(get, grams) if i is not None]
     return keys
 
@@ -304,16 +301,12 @@ def _documents(pairs, stopwords: frozenset[str] | None):
 
 
 def fit_vectorizers(
-    candidates: list[LinkCandidate],
-    corpus: Corpus,
+    pairs,
     stopwords: frozenset[str] | None = None,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> TextualVectorizers:
-    """Fit the three textual models on the unique documents the candidates touch."""
-    blocks, _ = _documents(
-        ((corpus.issue(c.issue_id), corpus.commit(c.commit_hash)) for c in candidates),
-        stopwords,
-    )
+    """Fit the three textual models on the distinct documents of the pairs."""
+    blocks, _ = _documents(pairs, stopwords)
     return TextualVectorizers(
         *(fit(documents, max_features=max_features) for documents in blocks)
     )
@@ -340,15 +333,11 @@ def featurize_pairs_textual(
         ]
     )
     # Take each pair's three row segments, in order, from the rows of all
-    # blocks laid end to end; every third row boundary then ends a pair. A
-    # lone pair's three rows already lie in that order, and skipping the
-    # gather saves about a quarter of a one-pair call (BENCH_featurize.json).
-    n_pairs = len(segments) // 3
-    if n_pairs != 1:
-        n_issues, n_commits = len(issue_docs), len(message_docs)
-        segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
-        segments += np.array((0, n_issues, n_issues + n_commits))
-        rows = rows[segments.ravel()]
+    # blocks laid end to end; every third row boundary then ends a pair.
+    n_issues, n_commits = len(issue_docs), len(message_docs)
+    segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
+    segments += np.array((0, n_issues, n_issues + n_commits))
+    rows = rows[segments.ravel()]
     return Csr.from_arrays(
-        rows.data, rows.indices, rows.indptr[::3], (n_pairs, vectorizers.width)
+        rows.data, rows.indices, rows.indptr[::3], (len(segments), vectorizers.width)
     )

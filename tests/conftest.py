@@ -1,12 +1,16 @@
-"""Shared factories for hand-built corpora used across the test modules."""
+"""Shared factories for hand-built corpora used across the test modules, and
+the regex tokenizers that NaturalWords and CodeTerms must match."""
 
 from __future__ import annotations
 
 import hashlib
+import re
 
 from hypothesis import settings
 
+from hybrid_linker import porter
 from hybrid_linker.corpus import Commit, Corpus, Issue
+from hybrid_linker.textprep import CODE_TERM_PATTERNS, TokenStream, load_stopwords
 from hybrid_linker.tfidf import (
     DEFAULT_MAX_FEATURES,
     DEFAULT_NGRAM_RANGE,
@@ -91,3 +95,41 @@ def fit_transform(
     """A TF-IDF model fitted on documents, and their rows under it."""
     model = fit(documents, ngram_range, max_features)
     return model, _transform_rows([(model, documents)])
+
+
+# The tokenizers as regular expressions, one word or token at a time: the
+# oracles that NaturalWords.doc and CodeTerms.doc must match token for token.
+
+_SPLIT_PATTERN = re.compile(r"[^a-z0-9]+")
+
+
+def preprocess_natural(
+    text: str, stopwords: frozenset[str] | None = None
+) -> TokenStream:
+    """Tokenize prose: lowercase, split, filter, stem.
+
+    Tokens shorter than two characters are dropped both before and after
+    stemming, so every surviving token matches [a-z0-9]{2,}.
+    """
+    if stopwords is None:
+        stopwords = load_stopwords()
+    tokens = []
+    for raw in _SPLIT_PATTERN.split(text.lower()):
+        if len(raw) < 2 or raw in stopwords:
+            continue
+        stemmed = porter.stem(raw)
+        if len(stemmed) >= 2:
+            tokens.append(stemmed)
+    return TokenStream(tuple(tokens))
+
+
+def extract_code_terms(diff_text: str) -> TokenStream:
+    """Pull tokens fully matching any code-term pattern out of diff text, in order."""
+    patterns = CODE_TERM_PATTERNS.values()
+    return TokenStream(
+        tuple(
+            token
+            for token in diff_text.split()
+            if any(pattern.fullmatch(token) for pattern in patterns)
+        )
+    )

@@ -44,8 +44,8 @@ from hybrid_linker.linkgen import balance_candidates, generate_candidates
 from hybrid_linker.tabular import featurize_pairs_tabular, fit_encoder
 from hybrid_linker.textprep import (
     CODE_TERM_PATTERNS,
+    CodeTerms,
     TokenStream,
-    extract_code_terms,
     load_stopwords,
 )
 from hybrid_linker.tfidf import featurize_pairs_textual, fit_vectorizers
@@ -148,7 +148,7 @@ def test_code_term_pattern_suite(capsys):
                     f"{term!r} should not match {pattern_name}"
                 )
         diff = "+ " + " ".join(list(positives) + negatives)
-        assert extract_code_terms(diff).tokens == tuple(positives)
+        assert CodeTerms().doc(diff).tokens == tuple(positives)
 
 
 def _brute_force_tfidf(token_docs, ngram_range, max_features):
@@ -196,7 +196,7 @@ def test_tfidf_matches_brute_force(capsys):
         "empty input handling in parser parser",
     ]
     token_docs = [tuple(t.split()) for t in texts]
-    docs = [TokenStream(tokens=t, kind="natural") for t in token_docs]
+    docs = [TokenStream(tokens=t) for t in token_docs]
     with _criterion(capsys, "tfidf-oracle", budget_seconds=1.0):
         for ngram_range, max_features in [((1, 3), 10_000), ((1, 2), 12)]:
             model, rows = fit_transform(docs, ngram_range, max_features)
@@ -512,8 +512,9 @@ def test_no_leakage_across_folds_or_from_labels(small_setup, capsys):
             assert not (accessed & test_only)
         assert saw_test_only, "fixture must have records unique to test folds"
 
-        # Feature construction ignores labels entirely: flipping every
-        # label leaves the fitted vocabularies, layout, and matrices
+        # Feature construction ignores labels entirely: the fitters take
+        # (issue, commit) pairs, which carry none, and flipping every label
+        # leaves the fitted vocabularies, layout, and matrices
         # byte-for-byte identical.
         flipped = [replace(c, label=1 - c.label) for c in candidates]
         stopwords = load_stopwords()
@@ -521,8 +522,8 @@ def test_no_leakage_across_folds_or_from_labels(small_setup, capsys):
             (corpus.issue(c.issue_id), corpus.commit(c.commit_hash))
             for c in candidates
         ]
-        vec_a = fit_vectorizers(candidates, corpus, stopwords)
-        vec_b = fit_vectorizers(flipped, corpus, stopwords)
+        vec_a = fit_vectorizers(pairs, stopwords)
+        vec_b = fit_vectorizers(corpus.pairs(flipped), stopwords)
         for block in ("issue", "message", "code"):
             model_a = getattr(vec_a, block)
             model_b = getattr(vec_b, block)
@@ -534,8 +535,8 @@ def test_no_leakage_across_folds_or_from_labels(small_setup, capsys):
         for name in ("data", "indices", "indptr"):
             assert getattr(X_a, name).tobytes() == getattr(X_b, name).tobytes()
 
-        enc_a = fit_encoder(candidates, corpus)
-        enc_b = fit_encoder(flipped, corpus)
+        enc_a = fit_encoder(pairs)
+        enc_b = fit_encoder(corpus.pairs(flipped))
         assert enc_a == enc_b
         T_a = featurize_pairs_tabular(pairs, enc_a)
         T_b = featurize_pairs_tabular(pairs, enc_b)

@@ -277,6 +277,13 @@ def test_mismatched_or_invalid_values_fail_located(bundles, capsys):
     def fewer_terms(manifest):
         manifest["vec_code"]["terms"].pop()
 
+    def repeated_term(manifest):
+        # The idf and the textual width fit the distinct terms, so only the
+        # repeat itself is wrong; it used to load and spill into the next row.
+        terms = manifest["vec_code"]["terms"]
+        terms[-1] = terms[0]
+        manifest["textual"]["width"] -= 1
+
     def no_unigrams(manifest):
         manifest["vec_issue"]["ngram_range"] = [0, 3]
 
@@ -287,6 +294,7 @@ def test_mismatched_or_invalid_values_fail_located(bundles, capsys):
         manifest["nontextual_members"][0]["tree_scales"][1] = float("inf")
 
     idf = np.load(io.BytesIO(files["arrays/vec_code.idf.npy"]))[:-1]
+    first_code_term = json.loads(files["manifest.json"])["vec_code"]["terms"][0]
     value = "arrays/nontextual_1.tree_value.npy"
     nan = np.load(io.BytesIO(files[value])).copy()
     nan[-1] = np.nan
@@ -305,6 +313,9 @@ def test_mismatched_or_invalid_values_fail_located(bundles, capsys):
          ["nontextual_0.tree_scales[1]"]),
         ("n-grams from 0", _manifest_case(files, no_unigrams),
          ["vec_issue.ngram_range"]),
+        ("vocabulary repeating a term",
+         {**_manifest_case(files, repeated_term), "arrays/vec_code.idf.npy": _npy(idf)},
+         ["vec_code.terms", repr(first_code_term), f"at both 0 and {len(idf)}"]),
     ]
     assert _problems(bundles, capsys, cases) == []
 

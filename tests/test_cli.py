@@ -404,6 +404,24 @@ def test_bad_utf8_candidates_exit_one_naming_the_line(workspace, capsys):
     assert f"{cands}:{n_lines}: invalid UTF-8 at byte offset" in err
 
 
+def test_pairs_with_a_byte_order_mark_score_as_without(workspace, capsys):
+    corpus, cands, model = _pipeline(workspace, capsys)
+    rows = [line.split("\t")[:2] for line in cands.read_text("utf-8").splitlines()]
+    text = "".join(f"{issue_id}\t{commit_hash}\n" for issue_id, commit_hash in rows)
+    outputs = []
+    for prefix in ("", "\ufeff"):
+        pairs_path = workspace / "pairs.tsv"
+        pairs_path.write_text(prefix + text, encoding="utf-8")
+        code, out, _ = _run(
+            capsys, "predict-batch", "--model", model, "--corpus", corpus,
+            "--pairs", pairs_path,
+        )
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == len(rows)
+
+
 def test_bad_utf8_pairs_exit_one_naming_the_line(workspace, capsys):
     corpus, _, model = _pipeline(workspace, capsys)
     pairs_path = workspace / "pairs.tsv"

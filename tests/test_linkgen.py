@@ -324,6 +324,14 @@ def test_candidate_file_rejects_duplicate_rows(tmp_path):
         read_candidates(path)
 
 
+def test_candidate_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    cands = [LinkCandidate("I-1", "a" * 40, 1, "linked")]
+    path = tmp_path / "cands.tsv"
+    write_candidates(path, cands)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_candidates(path) == cands
+
+
 def test_candidate_file_with_crlf_endings_reads_as_with_lf(tmp_path):
     cands = [
         LinkCandidate("I-1", "a" * 40, 1, "linked"),

@@ -71,6 +71,14 @@ def test_category_map_rejects_unknown_class(tmp_path):
         load_category_maps(path)
 
 
+def test_category_map_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "map.tsv"
+    path.write_text("\ufeffOpen\tclosed\nBug\ttask\n", encoding="utf-8")
+    status_map, type_map = load_category_maps(path)
+    assert status_map == {"open": "closed"}
+    assert type_map == {"bug": "task"}
+
+
 def test_category_map_keeps_stray_line_breaks_inside_their_row(tmp_path):
     # Lines end at a line feed only: a carriage return or U+0085 inside a
     # row stays in its raw label.
@@ -98,7 +106,7 @@ def test_category_map_faults_count_newlines(tmp_path):
 
 def test_reduce_falls_back_on_unseen_labels():
     corpus = _paired_corpus()
-    encoder = fit_encoder(_candidates(corpus), corpus)
+    encoder = fit_encoder(corpus.pairs(_candidates(corpus)))
     odd = make_issue(raw_status="Mystery State", raw_type="Mystery Kind")
     assert reduce_status(encoder, odd) == "open"
     assert reduce_type(encoder, odd) == "task"
@@ -110,7 +118,7 @@ def test_reduce_falls_back_on_unseen_labels():
 def test_epoch_day_and_gap_columns():
     corpus = _paired_corpus(n_pairs=12)
     cands = _candidates(corpus)
-    encoder = fit_encoder(cands, corpus)
+    encoder = fit_encoder(corpus.pairs(cands))
     names = list(encoder.feature_names)
     X = featurize_pairs_tabular(corpus.pairs(cands), encoder)
     assert X.shape == (len(cands), encoder.width)
@@ -129,7 +137,7 @@ def test_epoch_day_and_gap_columns():
 
 def test_resolved_dropped_when_mostly_missing():
     corpus = _paired_corpus(resolved=False)
-    encoder = fit_encoder(_candidates(corpus), corpus)
+    encoder = fit_encoder(corpus.pairs(_candidates(corpus)))
     assert not encoder.include_resolved
     assert "resolved_day" not in encoder.feature_names
     assert "resolved_present" not in encoder.feature_names
@@ -156,7 +164,7 @@ def test_resolved_kept_when_sometimes_missing():
         )
     corpus = make_corpus(issues, commits)
     cands = _candidates(corpus)
-    encoder = fit_encoder(cands, corpus)
+    encoder = fit_encoder(corpus.pairs(cands))
     assert encoder.include_resolved
     names = list(encoder.feature_names)
     X = featurize_pairs_tabular(corpus.pairs(cands), encoder)
@@ -175,7 +183,7 @@ def test_resolved_kept_when_sometimes_missing():
 def test_identity_one_hots_with_other_bucket():
     corpus = _paired_corpus()
     cands = _candidates(corpus)
-    encoder = fit_encoder(cands, corpus, identity_top_k=2)
+    encoder = fit_encoder(corpus.pairs(cands), identity_top_k=2)
     names = list(encoder.feature_names)
     author_cols = [n for n in names if n.startswith("author=")]
     assert len(author_cols) == 3  # top 2 + OTHER
@@ -197,7 +205,7 @@ def test_identity_one_hots_with_other_bucket():
 def test_identity_vocab_ranked_by_count_then_name():
     corpus = _paired_corpus()
     cands = _candidates(corpus)
-    encoder = fit_encoder(cands, corpus)
+    encoder = fit_encoder(corpus.pairs(cands))
     from collections import Counter
 
     counts = Counter(corpus.commit(c.commit_hash).author for c in cands)
@@ -207,21 +215,21 @@ def test_identity_vocab_ranked_by_count_then_name():
 
 def test_reporter_excluded_when_redundant():
     redundant = _paired_corpus(reporter_same=True)
-    encoder = fit_encoder(_candidates(redundant), redundant)
+    encoder = fit_encoder(redundant.pairs(_candidates(redundant)))
     assert not encoder.include_reporter
     assert not any(n.startswith("reporter=") for n in encoder.feature_names)
     report = _identity_redundancy(redundant.issues)
     assert report["reporter_creator_equality"] == 1.0
 
     distinct = _paired_corpus(reporter_same=False)
-    encoder = fit_encoder(_candidates(distinct), distinct)
+    encoder = fit_encoder(distinct.pairs(_candidates(distinct)))
     assert encoder.include_reporter
     assert any(n.startswith("reporter=") for n in encoder.feature_names)
 
 
 def test_gap_features_toggle():
     corpus = _paired_corpus()
-    encoder = fit_encoder(_candidates(corpus), corpus, gap_features=False)
+    encoder = fit_encoder(corpus.pairs(_candidates(corpus)), gap_features=False)
     assert not any(n.startswith("gap_") for n in encoder.feature_names)
 
 
@@ -232,8 +240,8 @@ def test_features_do_not_depend_on_labels():
         LinkCandidate(c.issue_id, c.commit_hash, 1 - c.label, c.provenance)
         for c in cands
     ]
-    encoder_a = fit_encoder(cands, corpus)
-    encoder_b = fit_encoder(flipped, corpus)
+    encoder_a = fit_encoder(corpus.pairs(cands))
+    encoder_b = fit_encoder(corpus.pairs(flipped))
     assert encoder_a.feature_names == encoder_b.feature_names
     X_a = featurize_pairs_tabular(corpus.pairs(cands), encoder_a)
     X_b = featurize_pairs_tabular(corpus.pairs(flipped), encoder_b)
@@ -244,7 +252,7 @@ def test_encoder_fits_only_on_given_candidates():
     corpus = _paired_corpus()
     cands = _candidates(corpus)
     subset = [c for c in cands if c.issue_id != "I-0"]
-    encoder = fit_encoder(subset, corpus, identity_top_k=50)
+    encoder = fit_encoder(corpus.pairs(subset), identity_top_k=50)
     synth = synthesize_corpus(seed=3, n_issues=12, n_commits=10)
     # Identities seen only via excluded candidates stay out of the vocab.
     excluded_creator = corpus.issue("I-0").creator
@@ -275,7 +283,7 @@ def test_block_offsets_hold_for_an_identity_named_other(resolved, gaps):
     ]
     corpus = make_corpus(issues, commits)
     cands = _candidates(corpus)
-    encoder = fit_encoder(cands, corpus, gap_features=gaps)
+    encoder = fit_encoder(corpus.pairs(cands), gap_features=gaps)
     names = encoder.feature_names
     assert names.count("creator=OTHER") == 2
     assert encoder.include_resolved == resolved

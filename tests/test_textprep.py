@@ -12,14 +12,17 @@ from hybrid_linker.textprep import (
     CodeTerms,
     NaturalWords,
     code_doc,
-    extract_code_terms,
     issue_doc,
     issue_text,
     load_stopwords,
     message_doc,
+)
+from tests.conftest import (
+    extract_code_terms,
+    make_commit,
+    make_issue,
     preprocess_natural,
 )
-from tests.conftest import make_commit, make_issue
 
 # Hand-traced through the classic algorithm; each pair was checked against
 # the published rule steps, not against this implementation.
@@ -107,7 +110,7 @@ def test_porter_handles_digit_words():
 
 
 def test_preprocess_example_sentence():
-    assert preprocess_natural("Copying indicator value").tokens == (
+    assert NaturalWords().doc("Copying indicator value").tokens == (
         "copi",
         "indic",
         "valu",
@@ -115,19 +118,19 @@ def test_preprocess_example_sentence():
 
 
 def test_preprocess_drops_stopwords_and_short_tokens():
-    out = preprocess_natural("the parser is crashing in a loop")
+    out = NaturalWords().doc("the parser is crashing in a loop")
     assert out.tokens == ("parser", "crash", "loop")
 
 
 def test_preprocess_splits_on_non_alphanumeric():
-    out = preprocess_natural("fix/CRASH_in-parser.c")
+    out = NaturalWords().doc("fix/CRASH_in-parser.c")
     assert out.tokens == ("fix", "crash", "parser")
 
 
 def test_preprocess_refilters_after_stemming():
     # "ies" passes the length gate, stems to a single letter, and must go.
     assert stem("ies") == "i"
-    assert preprocess_natural("ies").tokens == ()
+    assert NaturalWords().doc("ies").tokens == ()
 
 
 def test_preprocess_output_invariants():
@@ -138,11 +141,11 @@ def test_preprocess_output_invariants():
     texts.append("A_b-c d/e 42X the THE tHe 0x1F  ,,  ")
     token_shape = re.compile(r"[a-z0-9]{2,}")
     for text in texts:
-        tokens = preprocess_natural(text, stopwords).tokens
+        tokens = NaturalWords(stopwords).doc(text).tokens
         for token in tokens:
             assert token_shape.fullmatch(token), token
             assert token not in stopwords
-        again = preprocess_natural(" ".join(tokens), stopwords).tokens
+        again = NaturalWords(stopwords).doc(" ".join(tokens)).tokens
         assert len(again) == len(tokens)
 
 
@@ -161,18 +164,18 @@ def test_code_pattern_examples_match_their_patterns():
 
 def test_code_pattern_negatives_rejected():
     for token in ("opt", "add", "xor", "9_x", "::", "_"):
-        assert extract_code_terms(token).tokens == (), token
+        assert CodeTerms().doc(token).tokens == (), token
 
 
 def test_extract_code_terms_verbatim_subset_with_duplicates():
     text = "call Foo.bar then Foo.bar again with XOR and plain words"
-    out = extract_code_terms(text).tokens
+    out = CodeTerms().doc(text).tokens
     assert out == ("Foo.bar", "Foo.bar", "XOR")
     assert set(out) <= set(text.split())
 
 
 def test_extract_code_terms_no_normalization():
-    out = extract_code_terms("OPT_INFO opt_info").tokens
+    out = CodeTerms().doc("OPT_INFO opt_info").tokens
     assert out == ("OPT_INFO", "opt_info")
 
 
@@ -182,18 +185,16 @@ def test_issue_text_joins_summary_and_description():
     assert issue_text(make_issue(summary="", description="")) == ""
 
 
-def test_doc_builders_and_kinds():
+def test_doc_builders():
     issue = make_issue(summary="Copying indicator", description="value")
     commit = make_commit(
         message="fixed the copying", diff_text="+ OPT_INFO\n+ plain"
     )
-    idoc = issue_doc(issue)
-    mdoc = message_doc(commit)
-    assert idoc.kind == "natural"
+    idoc = issue_doc(issue, NaturalWords())
+    mdoc = message_doc(commit, NaturalWords())
     assert idoc.tokens == ("copi", "indic", "valu")
     assert mdoc.tokens == ("fix", "copi")
-    cdoc = code_doc(commit)
-    assert cdoc.kind == "code_term"
+    cdoc = code_doc(commit, CodeTerms())
     assert cdoc.tokens == ("OPT_INFO",)
 
 
@@ -210,6 +211,13 @@ def test_load_stopwords_custom_file(tmp_path):
     assert load_stopwords(path) == frozenset({"foo", "bar"})
 
 
+def test_load_stopwords_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("\ufeffparser\nfoo\n", encoding="utf-8")
+    assert load_stopwords(path) == frozenset({"parser", "foo"})
+    assert NaturalWords(load_stopwords(path)).doc("parser crash").tokens == ("crash",)
+
+
 CODE_TOKENS = st.text(alphabet="abzABZ019_.:-", min_size=1, max_size=8)
 
 
@@ -221,7 +229,7 @@ def test_code_terms_are_tokens_matching_any_one_pattern(tokens):
         for token in tokens
         if any(p.fullmatch(token) for p in CODE_TERM_PATTERNS.values())
     )
-    assert extract_code_terms(" ".join(tokens)).tokens == want
+    assert CodeTerms().doc(" ".join(tokens)).tokens == want
 
 
 # Any code point, lone surrogates included, mixed with ASCII words, so that
@@ -265,8 +273,8 @@ def test_doc_builders_with_a_shared_memo_match_lone_calls():
     for issue, commit in zip(corpus.issues, corpus.commits):
         assert issue_doc(issue, words) == issue_doc(issue, NaturalWords(stopwords))
         assert message_doc(commit, words) == message_doc(commit, NaturalWords(stopwords))
-        assert code_doc(commit, terms) == code_doc(commit)
+        assert code_doc(commit, terms) == code_doc(commit, CodeTerms())
         assert issue_doc(issue, words).tokens == preprocess_natural(
             issue_text(issue), stopwords
         ).tokens
-        assert issue_doc(issue) == preprocess_natural(issue_text(issue))
+        assert issue_doc(issue, NaturalWords()) == preprocess_natural(issue_text(issue))

@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 from hybrid_linker.linkgen import LinkCandidate, generate_candidates
 from hybrid_linker.corpus import synthesize_corpus
 from hybrid_linker.textprep import (
+    CodeTerms,
     NaturalWords,
     TokenStream,
     code_doc,
-    extract_code_terms,
     issue_doc,
     issue_text,
     load_stopwords,
     message_doc,
-    preprocess_natural,
 )
 from hybrid_linker.tfidf import (
     DEFAULT_MAX_FEATURES,
@@ -36,7 +35,13 @@ from hybrid_linker.tfidf import (
     fit_vectorizers,
     ngrams,
 )
-from tests.conftest import fit_transform, make_commit, make_issue
+from tests.conftest import (
+    extract_code_terms,
+    fit_transform,
+    make_commit,
+    make_issue,
+    preprocess_natural,
+)
 
 MICRO_DOCS = [
     ("copi", "indic", "valu"),
@@ -49,7 +54,7 @@ MICRO_DOCS = [
 
 
 def _stream(tokens) -> TokenStream:
-    return TokenStream(tokens=tuple(tokens), kind="natural")
+    return TokenStream(tokens=tuple(tokens))
 
 
 def _brute_force(docs, ngram_range=(1, 3), max_features=None):
@@ -96,6 +101,23 @@ def test_ngrams_enumeration():
     assert ngrams(tokens, (1, 3)) == ["a", "b", "c", "a b", "b c", "a b c"]
     assert ngrams((), (1, 3)) == []
     assert ngrams(("x",), (2, 3)) == []
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(st.sampled_from(["a", "b", "c d", ""]), max_size=12).map(tuple),
+    st.integers(1, 6),
+    st.integers(0, 6),
+)
+def test_ngrams_match_a_nested_loop(tokens, low, extra):
+    # Ranges start anywhere from 1 and may end past the document's length.
+    high = low + extra
+    want = []
+    for n in range(low, high + 1):
+        for start in range(len(tokens)):
+            if start + n <= len(tokens):
+                want.append(" ".join(tokens[start : start + n]))
+    assert ngrams(tokens, (low, high)) == want
 
 
 def test_fit_transform_matches_brute_force():
@@ -175,7 +197,7 @@ def test_featurize_blocks_concatenate_per_document_transforms():
     corpus = synthesize_corpus(seed=23, n_issues=20, n_commits=20)
     stopwords = load_stopwords()
     candidates = generate_candidates(corpus, window_days=7)[:30]
-    vectorizers = fit_vectorizers(candidates, corpus, stopwords=stopwords)
+    vectorizers = fit_vectorizers(corpus.pairs(candidates), stopwords=stopwords)
     matrix = featurize_pairs_textual(corpus.pairs(candidates), vectorizers, stopwords)
     assert matrix.shape == (len(candidates), vectorizers.width)
     start_msg = vectorizers.issue.width
@@ -195,7 +217,7 @@ def test_featurize_blocks_concatenate_per_document_transforms():
             [(vectorizers.message, [message_doc(commit, NaturalWords(stopwords))])]
         ).toarray()[0]
         want_code = _transform_rows(
-            [(vectorizers.code, [code_doc(commit)])]
+            [(vectorizers.code, [code_doc(commit, CodeTerms())])]
         ).toarray()[0]
         assert np.max(np.abs(row[:start_msg] - want_issue)) <= 1e-12
         assert np.max(np.abs(row[start_msg:start_code] - want_msg)) <= 1e-12
@@ -207,7 +229,7 @@ def test_vectorizers_fit_only_on_candidate_documents():
     stopwords = load_stopwords()
     all_cands = generate_candidates(corpus, window_days=7)
     subset = all_cands[:5]
-    vectorizers = fit_vectorizers(subset, corpus, stopwords=stopwords)
+    vectorizers = fit_vectorizers(corpus.pairs(subset), stopwords=stopwords)
     seen_issues = {c.issue_id for c in subset}
     seen_commits = {c.commit_hash for c in subset}
     from hybrid_linker.textprep import issue_doc, issue_text
@@ -364,7 +386,8 @@ def pair_batches(draw):
             draw,
         ),
         code=_zero_some(
-            fit([code_doc(c) for c in fitted_commits], max_features=max_features),
+            fit([code_doc(c, CodeTerms()) for c in fitted_commits],
+                max_features=max_features),
             draw,
         ),
     )
@@ -409,7 +432,7 @@ def test_featurize_matches_oracle_on_a_scoring_batch():
     corpus = synthesize_corpus(seed=11, n_issues=120, n_commits=120)
     stopwords = load_stopwords()
     candidates = generate_candidates(corpus, window_days=7)
-    vectorizers = fit_vectorizers(candidates[::2], corpus, stopwords=stopwords)
+    vectorizers = fit_vectorizers(corpus.pairs(candidates[::2]), stopwords=stopwords)
     pairs = corpus.pairs(candidates)
     assert len(pairs) > 200
     _assert_same_csr(
@@ -421,7 +444,7 @@ def test_featurize_matches_oracle_on_a_scoring_batch():
 def test_featurize_of_no_pairs_is_an_empty_matrix():
     corpus = synthesize_corpus(seed=23, n_issues=20, n_commits=20)
     candidates = generate_candidates(corpus, window_days=7)
-    vectorizers = fit_vectorizers(candidates, corpus)
+    vectorizers = fit_vectorizers(corpus.pairs(candidates))
     got = featurize_pairs_textual([], vectorizers)
     _assert_same_csr(got, _oracle_featurize_pairs_textual([], vectorizers))
     assert got.shape == (0, vectorizers.width)
@@ -507,7 +530,7 @@ def test_back_to_back_calls_share_no_memo():
     corpus = synthesize_corpus(seed=23, n_issues=60, n_commits=60)
     candidates = generate_candidates(corpus, window_days=7)
     pairs = corpus.pairs(candidates)
-    vectorizers = fit_vectorizers(candidates[:8], corpus, stopwords=NO_STOPWORDS)
+    vectorizers = fit_vectorizers(corpus.pairs(candidates[:8]), stopwords=NO_STOPWORDS)
     frequent = Counter(
         word
         for issue, _ in pairs
