@@ -31,8 +31,6 @@ from .corpus import Commit, Corpus, Issue
 from .linkgen import LinkCandidate
 from .learn import (
     RETIRED_VARIANTS,
-    VARIANTS,
-    LearnerError,
     LearnerParams,
     SoftVoteEnsemble,
     TrainedLearner,
@@ -183,6 +181,12 @@ class HybridModel:
     n_fit: int = 0
     n_validation: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.alpha <= 1.0:
+            raise HybridError(f"alpha: must lie in [0, 1], got {self.alpha!r}")
+        if not 0.0 < self.threshold < 1.0:
+            raise HybridError(f"threshold: must lie in (0, 1), got {self.threshold!r}")
+
 
 def channel_probabilities(
     model: HybridModel, pairs: list[tuple[Issue, Commit]]
@@ -297,7 +301,7 @@ _ENCODER_KEYS = tuple(item.name for item in fields(TabularEncoder) if item.init)
 _VECTORIZERS = tuple(
     (f"vec_{item.name}", item.name) for item in fields(TextualVectorizers)
 )
-_VECTORIZER_META = ("ngram_range", "max_features")
+_VECTORIZER_META = ("terms", "ngram_range", "max_features")
 _IDF = ("idf", "<f8")
 # TrainedLearner fields stored in each learner's manifest object.
 _LEARNER_META = (
@@ -379,7 +383,6 @@ def save_model(model: HybridModel, path: str | Path) -> None:
     for name, field in _VECTORIZERS:
         vec = getattr(model.vectorizers, field)
         manifest[name] = {key: getattr(vec, key) for key in _VECTORIZER_META}
-        manifest[name]["terms"] = vec.terms()
         files[_member(name, _IDF[0])] = _npy_bytes(vec.idf, _IDF[1])
     metas = []
     for name, learner in _learners(model.textual, model.nontextual.members):
@@ -409,11 +412,15 @@ class _BundleReader:
 
     @contextmanager
     def located(self, where: str):
-        """Report a constructor's validation error at where."""
+        """A constructor's error, at where or, for "<field>: ...", at where.<field>."""
         try:
             yield
-        except (LearnerError, ValueError) as exc:
-            raise DecodeError(where, str(exc)) from None
+        except (HybridLinkerError, ValueError) as exc:
+            problem = str(exc)
+            field, colon, rest = problem.partition(": ")
+            if colon and " " not in field:
+                where, problem = f"{where}.{field}".lstrip("."), rest
+            raise DecodeError(where, problem) from None
 
     def read(self, member: str) -> bytes:
         try:
@@ -443,39 +450,26 @@ class _BundleReader:
         return array
 
     def vectorizer(self, name: str, meta: dict) -> TfidfModel:
-        terms = _json.get(meta, "terms", list[str], name)
-        term_index = {term: i for i, term in enumerate(terms)}
-        if len(term_index) != len(terms):
-            # term_index keeps a repeated term's last position.
-            at = next(i for i, term in enumerate(terms) if term_index[term] != i)
-            last = term_index[terms[at]]
-            raise DecodeError(f"{name}.terms", f"{terms[at]!r} at both {at} and {last}")
         values = _json.record(meta, TfidfModel, _VECTORIZER_META, name)
-        low, high = values["ngram_range"]
-        if not 1 <= low <= high:
+        idf = self.array(name, *_IDF)
+        with self.located(name):
+            model = TfidfModel(idf=idf, **values)
+        # Checked after the terms, so that a repeated term is named as such.
+        if len(idf) != model.width:
             raise DecodeError(
-                f"{name}.ngram_range", f"[{low}, {high}] is not 1 <= low <= high"
+                _member(name, _IDF[0]), f"{len(idf)} weights for {model.width} terms"
             )
-        return TfidfModel(
-            term_index=term_index,
-            idf=self.array(name, *_IDF, (len(term_index),)),
-            **values,
-        )
+        return model
 
     def learner(self, name: str, meta: dict) -> TrainedLearner:
         data = _json.get(meta, "params", dict, name)
-        # from_dict checks the types; a bundle must also hold every field.
-        for item in fields(LearnerParams):
-            if item.name not in data:
-                raise DecodeError(f"{name}.params.{item.name}", "missing")
+        # A bundle must hold every field; from_dict also rejects unknown ones.
+        _json.decode(data, LearnerParams, f"{name}.params")
+        values = _json.record(meta, TrainedLearner, _LEARNER_META, name)
+        values["variant"] = RETIRED_VARIANTS.get(values["variant"], values["variant"])
         with self.located(name):
             params = LearnerParams.from_dict(data)
-        model = TrainedLearner(
-            params=params, **_json.record(meta, TrainedLearner, _LEARNER_META, name)
-        )
-        model.variant = RETIRED_VARIANTS.get(model.variant, model.variant)
-        if model.variant not in VARIANTS:
-            raise DecodeError(f"{name}.variant", f"unknown variant {model.variant!r}")
+            model = TrainedLearner(params=params, **values)
         flat = _FLAT_ARRAYS.get(model.variant)
         names = [field for field, *_ in flat] if flat else [
             f"tree_{field}" for field, _ in TREE_ARRAYS
@@ -551,8 +545,9 @@ class _BundleReader:
             raise DecodeError("format", f"unsupported bundle format {found!r}")
         values = _json.record(manifest, HybridModel, _MODEL_META)
         _json.decode(values["config"], Config, "config")
-        if not 0.0 <= values["alpha"] <= 1.0:
-            raise DecodeError("alpha", f"must lie in [0, 1], got {values['alpha']!r}")
+        # The stored form of the stopword set is its sorted list.
+        if manifest["stopwords"] != sorted(values["stopwords"]):
+            raise DecodeError("stopwords", "not sorted, or holds a repeat")
         values["vectorizers"] = TextualVectorizers(
             **{
                 field: self.vectorizer(name, _json.get(manifest, name, dict))
@@ -583,15 +578,17 @@ class _BundleReader:
             values["nontextual"] = SoftVoteEnsemble(
                 _json.get(manifest, "nontextual_kind", str), tuple(members)
             )
-        return HybridModel(**values)
+        with self.located(""):
+            return HybridModel(**values)
 
 
 def load_model(path: str | Path) -> HybridModel:
     """Read a model bundle written by save_model, checking all of it.
 
     A missing or wrongly typed key, a missing or unreadable member, an array
-    of the wrong dtype or shape, a malformed tree or a width that does not
-    match raises HybridError naming the bundle and the key or member.
+    of the wrong dtype or shape, a malformed tree, a width that does not
+    match or a value its model class rejects raises HybridError naming the
+    bundle and the key or member.
     """
     try:
         bundle = zipfile.ZipFile(path, "r")

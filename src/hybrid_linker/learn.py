@@ -132,6 +132,13 @@ class TrainedLearner:
     feature_vars: np.ndarray | None = None
     train_losses: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.variant != self.params.variant:
+            raise LearnerError(
+                f"variant: {self.variant!r} is not params.variant "
+                f"{self.params.variant!r}"
+            )
+
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))

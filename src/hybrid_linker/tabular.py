@@ -112,6 +112,8 @@ class TabularEncoder:
     status_at: int = field(init=False, compare=False)
     type_at: int = field(init=False, compare=False)
     identity_at: dict[str, int] = field(init=False, compare=False)
+    # Per identity column, each identity's position in its vocabulary.
+    identity_index: dict[str, dict[str, int]] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         columns = ["creator", "author", "committer"]
@@ -119,7 +121,7 @@ class TabularEncoder:
             columns.append("reporter")
         if sorted(self.identity_vocabs) != sorted(columns):
             raise ValueError(
-                f"identity columns {sorted(self.identity_vocabs)} "
+                f"identity_vocabs: columns {sorted(self.identity_vocabs)} "
                 f"do not match {sorted(columns)}"
             )
         for mapping, classes in (
@@ -151,12 +153,21 @@ class TabularEncoder:
         start("type_at")
         names += [f"type={cls}" for cls in TYPE_CLASSES]
         identity_at = {}
+        identity_index = {}
         for column in columns:
+            vocab = self.identity_vocabs[column]
+            index = identity_index[column] = dict(zip(vocab, range(len(vocab))))
+            for at, ident in enumerate(vocab):
+                if index[ident] != at:
+                    raise ValueError(
+                        f"identity_vocabs.{column}: {ident!r} "
+                        f"at both {at} and {index[ident]}"
+                    )
             identity_at[column] = len(names)
-            for ident in self.identity_vocabs[column]:
-                names.append(f"{column}={ident}")
+            names += [f"{column}={ident}" for ident in vocab]
             names.append(f"{column}={OTHER}")
         object.__setattr__(self, "identity_at", identity_at)
+        object.__setattr__(self, "identity_index", identity_index)
         object.__setattr__(self, "feature_names", tuple(names))
 
     @property
@@ -287,10 +298,9 @@ def featurize_pairs_tabular(pairs, encoder: TabularEncoder) -> np.ndarray:
     at = [TYPE_CLASSES.index(reduce_type(encoder, issue)) for issue in issues]
     out[rows, encoder.type_at + np.array(at, dtype=np.intp)] = 1.0
     for column, start in encoder.identity_at.items():
-        vocab = encoder.identity_vocabs[column]
-        index = {ident: i for i, ident in enumerate(vocab)}
+        index = encoder.identity_index[column]
         records = commits if column in ("author", "committer") else issues
         idents = map(attrgetter(column), records)
-        at = [index.get(ident, len(vocab)) for ident in idents]
+        at = [index.get(ident, len(index)) for ident in idents]
         out[rows, start + np.array(at, dtype=np.intp)] = 1.0
     return out

@@ -7,26 +7,25 @@ message, and diff code terms. fit_vectorizers and featurize_pairs_textual
 both take (issue, commit) pairs and tokenize each distinct issue and commit
 once per call; ngrams is the one enumeration of a document's n-grams.
 
-The transform counts each n-gram, its tokens joined by single spaces, whose
-length lies in the model's range and which is a key of term_index. A block
-of documents holding more tokens than the model has terms is walked: from
-every start the gram grows one token at a time, and grows on only while it
-is a term or a prefix gap, a proper prefix of some term (cut just before a
-space) that is no term itself. Every longer gram from that start begins with
-the gram and a space, so a gram that is neither begins no term, and the walk
-drops nothing ngrams would count: the counts equal those of looking up all
-n-grams, for any vocabulary and any tokens, not only those fit builds. A
-vocabulary fit keeps with a range starting at 1 has no prefix gaps, since a
+A TfidfModel's terms obey one rule, checked when it is built: a term is k
+words joined by single spaces, each word non-empty and free of whitespace,
+with k in the n-gram range, and a term of more words than the range's low
+end, minus its last word, is a term too. fit's vocabularies obey it, as a
 term's prefix occurs at least as often as the term and sorts before it.
-Smaller blocks look up all n-grams: the walk has a fixed cost, mostly the
-pass over every term that finds the gaps, which a small block does not earn
-back (see _transform_rows).
+
+The transform counts each n-gram, its tokens joined by single spaces, that
+is a term. A block of documents holding more tokens than the model has terms
+is walked: from every start the gram grows one token at a time while it is
+a term or has fewer tokens than the range's low end. A gram of n >= low
+tokens has at least n words, so under the rule it is a term whenever a
+longer gram from its start is one: the walk counts what looking up all
+n-grams counts, for any tokens. Smaller blocks look up all n-grams.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
@@ -48,32 +47,55 @@ DEFAULT_MAX_FEATURES = 10000
 def ngrams(tokens: tuple[str, ...], ngram_range: tuple[int, int]) -> list[str]:
     """All n-grams for n in the inclusive range, joined with single spaces."""
     low, high = ngram_range
-    if low < 1 or high < low:
-        raise ValueError(f"bad ngram range {ngram_range!r}")
-    grams: list[str] = []
     count = len(tokens)
-    for n in range(low, high + 1):
-        for start in range(count - n + 1):
-            grams.append(" ".join(tokens[start : start + n]))
-    return grams
+    # No n-gram is longer than the document, however high the range ends.
+    return [
+        " ".join(tokens[start : start + n])
+        for n in range(low, min(high, count) + 1)
+        for start in range(count - n + 1)
+    ]
 
 
 @dataclass(frozen=True)
 class TfidfModel:
-    term_index: dict[str, int]
+    """A vocabulary in column order, with its idf weights. Raises ValueError,
+    as "<field>: <problem>", unless 1 <= low <= high, 1 <= max_features >=
+    the number of terms, and the terms are unique and obey the module's rule."""
+
+    terms: tuple[str, ...]
     idf: np.ndarray
     ngram_range: tuple[int, int]
     max_features: int
+    term_index: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        low, high = self.ngram_range
+        if not 1 <= low <= high:
+            raise ValueError(f"ngram_range: [{low}, {high}] breaks 1 <= low <= high")
+        if not 1 <= self.max_features >= self.width:
+            raise ValueError(
+                f"max_features: {self.max_features} is less than 1 or than the "
+                f"{self.width} terms"
+            )
+        term_index = dict(zip(self.terms, range(self.width)))
+        object.__setattr__(self, "term_index", term_index)
+        for at, term in enumerate(self.terms):
+            words = term.split(" ")
+            if term_index[term] != at:
+                problem = f"at both {at} and {term_index[term]}"
+            elif words != term.split():
+                problem = f"at {at} is not words joined by single spaces"
+            elif not low <= len(words) <= high:
+                problem = f"at {at} has {len(words)} words, not {low} to {high}"
+            elif len(words) > low and term.rpartition(" ")[0] not in term_index:
+                problem = f"at {at} lacks its prefix {term.rpartition(' ')[0]!r}"
+            else:
+                continue
+            raise ValueError(f"terms: {term!r} {problem}")
 
     @property
     def width(self) -> int:
-        return len(self.term_index)
-
-    def terms(self) -> list[str]:
-        ordered = [""] * len(self.term_index)
-        for term, index in self.term_index.items():
-            ordered[index] = term
-        return ordered
+        return len(self.terms)
 
 
 def fit(
@@ -88,8 +110,6 @@ def fit(
     Indices are assigned in lexicographic term order, so equal corpora give
     byte-identical models.
     """
-    if max_features < 1:
-        raise ValueError("max_features must be positive")
     occurrence: Counter = Counter()
     document_frequency: Counter = Counter()
     for doc in documents:
@@ -101,34 +121,17 @@ def fit(
         terms.sort(key=lambda t: (-occurrence[t], t))
         terms = terms[:max_features]
     terms.sort()
-    term_index = {term: i for i, term in enumerate(terms)}
     n_docs = len(documents)
-    idf = np.empty(len(terms), dtype=np.float64)
-    for term, index in term_index.items():
-        idf[index] = np.log((1.0 + n_docs) / (1.0 + document_frequency[term])) + 1.0
+    idf = np.array(
+        [np.log((1.0 + n_docs) / (1.0 + document_frequency[t])) + 1.0 for t in terms],
+        dtype=np.float64,
+    )
     return TfidfModel(
-        term_index=term_index,
+        terms=tuple(terms),
         idf=idf,
         ngram_range=ngram_range,
         max_features=max_features,
     )
-
-
-def _prefix_gaps(term_index: dict[str, int]) -> set[str]:
-    """Every proper prefix of a term, cut just before one of its spaces, that
-    is not a term itself.
-
-    An n-gram that is neither a term nor one of these starts no longer term.
-    For a vocabulary fit keeps with a range starting at 1 the set is empty:
-    a term's prefix occurs at least as often as the term and sorts before it.
-    """
-    gaps: set[str] = set()
-    for term in term_index:
-        head, space, _ = term.rpartition(" ")
-        while space and head not in term_index and head not in gaps:
-            gaps.add(head)
-            head, space, _ = head.rpartition(" ")
-    return gaps
 
 
 def _enumerated_keys(
@@ -139,12 +142,11 @@ def _enumerated_keys(
 
     A key is first + i * width + column for the i-th document.
     """
-    ngram_range = model.ngram_range
     get = model.term_index.get
     keys: list[int] = []
     for row, doc in enumerate(documents):
         base = first + row * width
-        grams = ngrams(doc.tokens, ngram_range)
+        grams = ngrams(doc.tokens, model.ngram_range)
         keys += [base + i for i in map(get, grams) if i is not None]
     return keys
 
@@ -156,17 +158,10 @@ def _walked_keys(
     first: int,
     width: int,
 ) -> list[np.ndarray]:
-    """The keys _enumerated_keys gives, found by a walk that joins and looks
-    up only the n-grams that can still become a term.
-
-    The walk grows each start's gram one token at a time, level by level
-    over all documents at once, and extends a gram only while it is a term
-    or a prefix gap.
-    """
+    """The keys _enumerated_keys gives, found by the walk the module
+    docstring describes, level by level over all documents at once."""
     low, high = model.ngram_range
-    term_index = model.term_index
-    get = term_index.get
-    gaps = _prefix_gaps(term_index)
+    get = model.term_index.get
     tokens = np.fromiter(chain.from_iterable(doc.tokens for doc in documents), object)
     lengths = np.array(lengths, dtype=np.int64)
     # Per token position: its row's key base and its document's end.
@@ -177,18 +172,14 @@ def _walked_keys(
     grams = tokens
     keys = []
     for n in range(1, high + 1):
-        index = np.fromiter(map(get, grams, repeat(-1)), np.int64, len(grams))
-        hit = index >= 0
+        live = starts + n < end[starts]
         if n >= low:
+            index = np.fromiter(map(get, grams, repeat(-1)), np.int64, len(grams))
+            hit = index >= 0
             keys.append(base[starts[hit]] + index[hit])
-        if n == high:
-            break
-        live = hit
-        if gaps:
-            live = live | np.fromiter(map(gaps.__contains__, grams), bool, len(grams))
-        live &= starts + n < end[starts]
+            live &= hit
         starts = starts[live]
-        if not len(starts):
+        if n == high or not len(starts):
             break
         grams = grams[live] + spaced[starts + n]
     return keys
@@ -202,14 +193,11 @@ def _transform_rows(blocks: list[tuple[TfidfModel, list[TokenStream]]]) -> Csr:
     order. A key row * width + column marks each n-gram that is a term.
 
     A block holding more tokens than its model has terms is walked; a
-    smaller one has all its n-grams looked up. Timed per block
-    (BENCH_featurize.json, "fork"), looking up costs about 0.84 us per token
-    and the walk 0.29 us per token plus 48 us and 0.14 us per term, so they
-    break even at 0.4 tokens per term for a 550-term model and at 1.1 for a
-    100-term one. On every block the benchmark's calls make, this cut picks
-    what that fitted break-even picks; walking every block would cost 17
-    times as much on a lone pair's blocks and 1.2 to 1.35 times as much on
-    those of training and evaluation.
+    smaller one has all its n-grams looked up. The cut was fitted when the
+    walk also passed over every term (BENCH_featurize.json, "fork"). Without
+    that pass, timed on a 2-CPU VM with 229- to 2,025-term models, looking
+    up costs about 0.8 us per token and the walk about 0.25 us per token plus
+    30 us, so the cut now looks up some blocks the walk would finish sooner.
 
     Counting, weighting and normalizing then run over all rows at once. A
     row's norm is a 1-D sum of its squares, summed in the order a lone
@@ -221,9 +209,6 @@ def _transform_rows(blocks: list[tuple[TfidfModel, list[TokenStream]]]) -> Csr:
     walked: list[np.ndarray] = []
     n_rows = offset = 0
     for model, documents in blocks:
-        low, high = model.ngram_range
-        if low < 1 or high < low:
-            raise ValueError(f"bad ngram range {model.ngram_range!r}")
         first = n_rows * width + offset
         lengths = [len(doc.tokens) for doc in documents]
         if sum(lengths) <= model.width:

@@ -203,7 +203,7 @@ def test_tfidf_matches_brute_force(capsys):
             terms, expected = _brute_force_tfidf(
                 token_docs, ngram_range, max_features
             )
-            assert model.terms() == terms
+            assert list(model.terms) == terms
             assert rows.shape == expected.shape
             assert np.max(np.abs(rows.toarray() - expected)) < 1e-12
 

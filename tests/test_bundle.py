@@ -9,17 +9,27 @@ into a shape that prediction cannot walk.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
+import re
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from hybrid_linker.cli import main
 from hybrid_linker.config import Config
-from hybrid_linker.corpus import save_corpus_dir, synthesize_corpus
-from hybrid_linker.hybrid import HybridError, load_model, save_model, train_hybrid
+from hybrid_linker.corpus import load_corpus_dir, save_corpus_dir, synthesize_corpus
+from hybrid_linker.hybrid import (
+    HybridError,
+    load_model,
+    predict_pairs,
+    save_model,
+    train_hybrid,
+)
 from hybrid_linker.learn import LearnerParams
 from hybrid_linker.linkgen import balance_candidates, generate_candidates
 
@@ -325,3 +335,234 @@ def test_deeply_nested_manifest_fails_located(bundles, capsys):
     deep = ("[" * 100_000 + "]" * 100_000).encode("utf-8")
     cases = [("nested manifest", {**files, "manifest.json": deep}, ["manifest.json"])]
     assert _problems(bundles, capsys, cases) == []
+
+
+def _term_without_its_prefix(manifest):
+    # A one-word term that the next (sorted) term begins with, swapped for
+    # an unused word.
+    terms = manifest["vec_issue"]["terms"]
+    at = next(
+        i for i, (term, after) in enumerate(zip(terms, terms[1:]))
+        if " " not in term and after.startswith(term + " ")
+    )
+    terms[at] = "zzzz"
+
+
+def _repeated_identity(manifest):
+    identities = manifest["encoder"]["identity_vocabs"]["author"]
+    identities[-1] = identities[0]
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def change(manifest):
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+
+    return change
+
+
+# Each: (manifest edit, the dotted key the error names, a piece of its problem).
+# Every one of these loaded and predicted before the model classes checked
+# their own invariants.
+PROBES = {
+    "threshold 7.0": (
+        _set("threshold", 7.0), "threshold", "must lie in (0, 1), got 7.0"
+    ),
+    "repeated identity": (
+        _repeated_identity, "encoder.identity_vocabs.author", "at both 0 and"
+    ),
+    "4-gram term in a (1, 3) vectorizer": (
+        _set("vec_issue", "terms", -1, "ab cd ef gh"),
+        "vec_issue.terms",
+        "has 4 words, not 1 to 3",
+    ),
+    "empty term": (
+        _set("vec_issue", "terms", -1, ""),
+        "vec_issue.terms",
+        "is not words joined by single spaces",
+    ),
+    "term with a double space": (
+        _set("vec_issue", "terms", -1, "ab  cd"),
+        "vec_issue.terms",
+        "is not words joined by single spaces",
+    ),
+    "term without its prefix": (
+        _term_without_its_prefix, "vec_issue.terms", "lacks its prefix"
+    ),
+    "max_features below the terms": (
+        _set("vec_issue", "max_features", 1),
+        "vec_issue.max_features",
+        "1 is less than 1 or than the",
+    ),
+    "params.variant beside another variant": (
+        _set("textual", "params", "variant", "random_forest"),
+        "textual.variant",
+        "'gradient_boosting' is not params.variant 'random_forest'",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_broken_model_invariants_fail_located(bundles, capsys, probe):
+    change, key, problem = PROBES[probe]
+    files = _files(bundles[2]["gradient_boosting"])
+    path = bundles[0] / "probe.hlb"
+    _write(path, _manifest_case(files, change))
+    code, out, err = _predict(bundles, path, capsys)
+    error = err.splitlines()[-1]
+    assert code == 1 and out == ""
+    assert error.startswith(f"error: {path}: {key}: "), err
+    assert problem in error, err
+
+
+def test_retired_variant_names_load(bundles):
+    files = _files(bundles[2]["logistic_regression"])
+    path = bundles[0] / "retired.hlb"
+    want = load_model(bundles[2]["logistic_regression"]).textual
+    for in_params in (False, True):
+
+        def retire(manifest, in_params=in_params):
+            manifest["textual"]["variant"] = "sgd_classifier"
+            if in_params:
+                manifest["textual"]["params"]["variant"] = "sgd_classifier"
+
+        _write(path, _manifest_case(files, retire))
+        got = load_model(path).textual
+        assert got.variant == got.params.variant == "logistic_regression"
+        assert got.params == want.params
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
+# The bundle mutator: one edit at one place of a saved bundle's manifest.
+EXTREME_INTS = (-(2**63), -1, 0, 2**63 - 1, 10**18)
+EXTREME_FLOATS = (-1e308, -5e-324, 0.0, 5e-324, 1e308)
+
+
+def _edits(value) -> list[str]:
+    if isinstance(value, list):
+        return ["repeat", "swap"] if len(value) >= 2 else []
+    if isinstance(value, bool):
+        return ["flip"]
+    if isinstance(value, (int, float)):
+        return ["extreme", "off by one"]
+    return ["empty"] if isinstance(value, str) else []
+
+
+def _at(manifest, path):
+    node = manifest
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _value_paths(value, path=()):
+    """The path of every list and scalar in a manifest."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _value_paths(item, path + (key,))
+        return
+    yield path
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _value_paths(item, path + (index,))
+
+
+def _names_part_of(where: str, manifest: dict, files) -> bool:
+    """Whether an error's location is a member of the bundle or a dotted key
+    of its manifest, learners named as the reader names them."""
+    if where in files:
+        return True
+    keys = re.sub(r"\[\d+\]", "", where).split(".")
+    member = re.fullmatch(r"nontextual_(\d+)", keys[0])
+    if member:
+        keys[:1] = ["nontextual_members", int(member.group(1))]
+    node = manifest
+    for key in keys:
+        if isinstance(node, list) and isinstance(key, int) and key < len(node):
+            node = node[key]
+        elif isinstance(node, dict) and key in node:
+            node = node[key]
+        else:
+            return False
+    return True
+
+
+def _write_canonical(path, files: dict[str, bytes]) -> None:
+    """Write a bundle as save_model writes one."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as bundle:
+        for name in sorted(files):
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            bundle.writestr(info, files[name])
+
+
+def _canonical_manifest(manifest: dict) -> bytes:
+    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def mutation_base(bundles):
+    """The saved bundle's members, its decoded manifest and a few pairs."""
+    root, _, paths = bundles
+    files = _files(paths["gradient_boosting"])
+    corpus = load_corpus_dir(root / "corpus")
+    pairs = [(i, c) for i in corpus.issues[:3] for c in corpus.commits[:3]]
+    return files, json.loads(files["manifest.json"]), pairs
+
+
+def test_a_canonical_rewrite_is_the_saved_bundle(bundles, mutation_base):
+    files, manifest, _ = mutation_base
+    path = bundles[0] / "canonical.hlb"
+    _write_canonical(path, {**files, "manifest.json": _canonical_manifest(manifest)})
+    assert path.read_bytes() == bundles[2]["gradient_boosting"].read_bytes()
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_a_mutated_bundle_fails_located_or_loads_unchanged(
+    bundles, mutation_base, data
+):
+    files, manifest, pairs = mutation_base
+    mutant = copy.deepcopy(manifest)
+    paths = [path for path in _value_paths(mutant) if _edits(_at(mutant, path))]
+    path = data.draw(st.sampled_from(paths), label="path")
+    *parents, last = path
+    parent = _at(mutant, parents)
+    value = parent[last]
+    edit = data.draw(st.sampled_from(_edits(value)), label="edit")
+    if edit in ("repeat", "swap"):
+        i = data.draw(st.integers(0, len(value) - 1), label="position")
+        j = (i + data.draw(st.integers(1, len(value) - 1), label="offset")) % len(value)
+        if edit == "repeat":
+            value[j] = copy.deepcopy(value[i])
+        else:
+            value[i], value[j] = value[j], value[i]
+    elif edit == "flip":
+        parent[last] = not value
+    elif edit == "extreme":
+        extremes = EXTREME_FLOATS if isinstance(value, float) else EXTREME_INTS
+        parent[last] = data.draw(st.sampled_from(extremes), label="extreme")
+    elif edit == "off by one":
+        parent[last] = value + data.draw(st.sampled_from((-1, 1)), label="step")
+    else:
+        parent[last] = ""
+    bundle = bundles[0] / "mutant.hlb"
+    _write_canonical(bundle, {**files, "manifest.json": _canonical_manifest(mutant)})
+    try:
+        model = load_model(bundle)
+    except HybridError as exc:
+        message = str(exc)
+        assert message.startswith(f"{bundle}: "), message
+        where = message[len(f"{bundle}: "):].split(": ")[0]
+        assert _names_part_of(where, manifest, files), message
+        event("rejected")
+        return
+    event("loaded")
+    probabilities = [p.probability for p in predict_pairs(model, pairs)]
+    assert all(0.0 <= p <= 1.0 for p in probabilities), probabilities
+    again = bundles[0] / "again.hlb"
+    save_model(model, again)
+    assert again.read_bytes() == bundle.read_bytes()

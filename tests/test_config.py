@@ -129,14 +129,16 @@ def test_learner_params_survive_bundle_round_trip(
         replace(member, params=replace(params, variant=member.variant))
         for member in trained_model.nontextual.members
     )
+    # A learner's variant is its params' variant.
+    textual = replace(params, variant=trained_model.textual.variant)
     model = replace(
         trained_model,
-        textual=replace(trained_model.textual, params=params),
+        textual=replace(trained_model.textual, params=textual),
         nontextual=replace(trained_model.nontextual, members=members),
     )
     save_model(model, path)
     again = load_model(path)
-    assert again.textual.params == params
+    assert again.textual.params == textual
     assert [m.params for m in again.nontextual.members] == [
         m.params for m in members
     ]

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,6 @@ from hybrid_linker.tfidf import (
     TextualVectorizers,
     TfidfModel,
     _enumerated_keys,
-    _prefix_gaps,
     _transform_rows,
     _walked_keys,
     featurize_pairs_textual,
@@ -124,7 +124,7 @@ def test_fit_transform_matches_brute_force():
     docs = [_stream(d) for d in MICRO_DOCS]
     model, matrix = fit_transform(docs)
     want_terms, want_rows = _brute_force(MICRO_DOCS)
-    assert model.terms() == want_terms
+    assert list(model.terms) == want_terms
     dense = matrix.toarray()
     assert dense.shape == (len(MICRO_DOCS), len(want_terms))
     assert np.max(np.abs(dense - np.array(want_rows))) <= 1e-12
@@ -169,18 +169,18 @@ def test_max_features_prefers_occurrence_then_lexicographic():
     # Unigram occurrences: bb=3, aa=2, cc=1, dd=1; bigram/trigram singletons
     # all tie at 1 and lose to earlier alphabetical terms.
     model = fit(docs, ngram_range=(1, 1), max_features=3)
-    assert model.terms() == ["aa", "bb", "cc"]
+    assert list(model.terms) == ["aa", "bb", "cc"]
     want_terms, want_rows = _brute_force(
         [d.tokens for d in docs], (1, 1), max_features=3
     )
-    assert model.terms() == want_terms
+    assert list(model.terms) == want_terms
     got = np.vstack([_transform_rows([(model, [d])]).toarray()[0] for d in docs])
     assert np.max(np.abs(got - np.array(want_rows))) <= 1e-12
 
 
 def test_indices_follow_lexicographic_order():
     model = fit([_stream(d) for d in MICRO_DOCS])
-    terms = model.terms()
+    terms = list(model.terms)
     assert terms == sorted(terms)
     assert [model.term_index[t] for t in terms] == list(range(len(terms)))
 
@@ -450,38 +450,41 @@ def test_featurize_of_no_pairs_is_an_empty_matrix():
     assert got.shape == (0, vectorizers.width)
 
 
-# Hand-built vocabularies a bundle could hold: terms whose prefixes are not
-# terms, terms longer than the n-gram range, terms with doubled or edge
-# spaces, and ranges that do not start at 1.
+# Hand-built vocabularies a bundle could hold: any terms that obey the rule,
+# in any column order, including ranges that do not start at 1.
 VOCAB_WORDS = ["ab", "cd", "ef", "gh"]
+NGRAM_RANGES = [(1, 1), (1, 3), (2, 3), (1, 4)]
 
 
 @st.composite
 def hand_built_models(draw):
-    ngram_range = draw(st.sampled_from([(1, 1), (1, 3), (2, 3), (1, 4)]))
-    gram = st.lists(st.sampled_from(VOCAB_WORDS), min_size=1, max_size=5)
-    joined = st.tuples(gram, st.sampled_from([" ", " ", " ", "  "])).map(
-        lambda drawn: drawn[1].join(drawn[0])
-    )
-    edge = st.sampled_from(["", " "])
-    edged = st.tuples(edge, st.sampled_from(VOCAB_WORDS), edge).map("".join)
-    terms = draw(st.lists(joined | edged, unique=True, max_size=30))
-    order = draw(st.permutations(range(len(terms))))
+    low, high = ngram_range = draw(st.sampled_from(NGRAM_RANGES))
+    grams = st.lists(st.sampled_from(VOCAB_WORDS), min_size=low, max_size=high)
+    # Each drawn gram brings its prefixes of low words and more.
+    terms = {
+        " ".join(words[:k])
+        for words in draw(st.lists(grams, max_size=12))
+        for k in range(low, len(words) + 1)
+    }
+    terms = draw(st.permutations(sorted(terms)))
     idf = draw(
         st.lists(st.floats(0.0, 4.0), min_size=len(terms), max_size=len(terms))
     )
     return TfidfModel(
-        term_index={term: i for term, i in zip(terms, order)},
+        terms=tuple(terms),
         idf=np.array(idf, dtype=np.float64),
         ngram_range=ngram_range,
-        max_features=DEFAULT_MAX_FEATURES,
+        max_features=max(1, len(terms)),
     )
 
 
 # "zz" is never in a term; "ab cd" is one token holding a space, so a gram
-# of it can equal a term of more words than the gram has tokens.
+# of it can equal a term of more words than the gram has tokens; "" is a
+# token that no term holds.
 TOKEN_DOCS = st.lists(
-    st.lists(st.sampled_from(VOCAB_WORDS + ["zz", "ab cd"]), max_size=12).map(_stream),
+    st.lists(st.sampled_from(VOCAB_WORDS + ["zz", "ab cd", ""]), max_size=12).map(
+        _stream
+    ),
     max_size=8,
 )
 
@@ -507,20 +510,68 @@ def test_walk_finds_the_keys_enumeration_finds(model, docs, first, width):
     assert np.array_equal(walked, enumerated)
 
 
-def test_prefix_gaps_are_the_proper_prefixes_that_are_not_terms():
-    term_index = {"ab cd ef": 0, "ab": 1, "gh  ab": 2, " cd": 3, "ef gh": 4, "ef": 5}
-    assert _prefix_gaps(term_index) == {"ab cd", "gh ", "gh", ""}
-
-
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(
     st.lists(st.lists(st.sampled_from(VOCAB_WORDS), max_size=10), max_size=6),
-    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 2),
     st.integers(1, 40),
 )
-def test_fit_vocabularies_have_no_prefix_gaps(token_lists, high, max_features):
-    model = fit([_stream(t) for t in token_lists], (1, high), max_features)
-    assert _prefix_gaps(model.term_index) == set()
+def test_fit_vocabularies_meet_the_rule(token_lists, low, extra, max_features):
+    # TfidfModel checks the rule; this restates it, for every range.
+    high = low + extra
+    model = fit([_stream(t) for t in token_lists], (low, high), max_features)
+    terms = set(model.terms)
+    for term in terms:
+        words = term.split(" ")
+        assert low <= len(words) <= high
+        assert len(words) == low or " ".join(words[:-1]) in terms
+
+
+def _model(terms, ngram_range=(1, 3), max_features=DEFAULT_MAX_FEATURES):
+    return TfidfModel(
+        terms=tuple(terms),
+        idf=np.ones(len(terms)),
+        ngram_range=ngram_range,
+        max_features=max_features,
+    )
+
+
+def test_the_model_rejects_each_break_of_the_rule():
+    assert _model(["ab", "ab cd", "ab cd ef", "cd"]).term_index == {
+        "ab": 0, "ab cd": 1, "ab cd ef": 2, "cd": 3,
+    }
+    assert _model(["ab cd", "ab cd ef"], (2, 3)).width == 2
+    broken = {
+        "ngram_range: [0, 3]": ((["ab"], (0, 3)), {}),
+        "ngram_range: [3, 2]": ((["ab"], (3, 2)), {}),
+        "max_features: 0 is less than 1": ((["ab"],), {"max_features": 0}),
+        "max_features: 1 is less than 1 or than the 2 terms": (
+            (["ab", "cd"],), {"max_features": 1}
+        ),
+        "terms: 'ab' at both 0 and 2": ((["ab", "cd", "ab"],), {}),
+        "terms: '' at 0": (([""],), {}),
+        "terms: 'ab  cd' at 1": ((["ab", "ab  cd"],), {}),
+        "terms: ' ab' at 1": ((["ab", " ab"],), {}),
+        "terms: 'ab\\tcd' at 1": ((["ab", "ab\tcd"],), {}),
+        "terms: 'ab cd ef gh' at 3 has 4 words, not 1 to 3": (
+            (["ab", "ab cd", "ab cd ef", "ab cd ef gh"],), {}
+        ),
+        "terms: 'ab' at 0 has 1 words, not 2 to 3": ((["ab"], (2, 3)), {}),
+        "terms: 'cd ef' at 0 lacks its prefix 'cd'": ((["cd ef", "ef"],), {}),
+        "terms: 'ab cd ef' at 0 lacks its prefix 'ab cd'": ((["ab cd ef", "ab"],), {}),
+    }
+    for message, (args, kwargs) in broken.items():
+        with pytest.raises(ValueError) as raised:
+            _model(*args, **kwargs)
+        assert str(raised.value).startswith(message), (message, str(raised.value))
+
+
+def test_fit_rejects_the_tokens_no_tokenizer_makes():
+    with pytest.raises(ValueError, match="terms: '' at 0"):
+        fit([_stream(["", "ab"])])
+    with pytest.raises(ValueError, match="terms: 'ab cd' at 0 has 2 words"):
+        fit([_stream(["ab cd"])], (1, 1))
 
 
 def test_back_to_back_calls_share_no_memo():
